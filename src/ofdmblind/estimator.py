@@ -148,7 +148,8 @@ class EstimateReport:
 
 
 def _samples(r) -> np.ndarray:
-    return r.samples if isinstance(r, IqSequence) else np.asarray(r, dtype=complex)
+    """The stream as a C-contiguous complex128 array, copied only if needed."""
+    return np.ascontiguousarray(r.samples if isinstance(r, IqSequence) else r, dtype=complex)
 
 
 def segment(r, n_prime: int) -> SegmentationMatrix:
@@ -175,8 +176,28 @@ def segment(r, n_prime: int) -> SegmentationMatrix:
 
 
 def covariance(seg: SegmentationMatrix) -> np.ndarray:
-    """Sample covariance (1/M') R R^H of a segmentation matrix."""
-    return (seg.data @ seg.data.conj().T) / seg.m_prime
+    """Sample covariance (1/M') R R^H of a segmentation matrix.
+
+    Computed from the real Gram matrix G = Y^T Y of the M' x 2N' float64
+    view Y of R^T, whose row m interleaves the real and imaginary parts
+    of column m of R. With R = A + jB, the entries of G are the sums
+    A A^T, B B^T, B A^T and A B^T, interleaved, so R R^H =
+    (A A^T + B B^T) + j(B A^T - A B^T). This takes half the flops of the
+    complex product and needs no conjugated copy. The result is exactly
+    Hermitian, since G is exactly symmetric.
+    """
+    # R^T is already C-contiguous for a segmented stream, so neither the
+    # conversion nor the view copies. numpy hands y.T @ y to the BLAS
+    # symmetric rank-k update (syrk) only when both operands are views of
+    # one buffer; a copied operand would fall back to a general product
+    # at twice the cost, and would not guarantee an exactly symmetric G.
+    y = np.ascontiguousarray(seg.data.T, dtype=complex).view(np.float64)
+    g = y.T @ y
+    g /= seg.m_prime
+    c = np.empty((seg.n_prime, seg.n_prime), dtype=complex)
+    np.add(g[0::2, 0::2], g[1::2, 1::2], out=c.real)
+    np.subtract(g[1::2, 0::2], g[0::2, 1::2], out=c.imag)
+    return c
 
 
 def _floored(lam: np.ndarray) -> np.ndarray:

@@ -53,9 +53,15 @@ class SweepSpec:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         for value in self.axis_values:
             try:
-                point_configs(self, value)
+                ofdm, _, est = point_configs(self, value)
             except ConfigError as err:
                 raise ConfigError(f"axis point {self.axis}={value}: {err}") from None
+            worst = est.candidates[-1]
+            if ofdm.stream_len < worst * worst:
+                raise ConfigError(
+                    f"axis point {self.axis}={value}: candidate N'={worst} needs "
+                    f"{worst * worst} samples, the stream holds {ofdm.stream_len}"
+                )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Dense complex linear algebra used by the transmitter and the estimator.
 
-Everything here is a thin, contract-checked layer over NumPy: DFT matrix
-construction, the unitary IDFT, Hermitian eigenvalue extraction, and
+Everything here is a thin, contract-checked layer over NumPy: the DFT
+matrix, the unitary IDFT (by FFT), Hermitian eigenvalue extraction, and
 numerical rank via singular values. Matrices are plain complex ndarrays;
 indexing is 0-based throughout the code even where the surrounding maths
 is conventionally written 1-based.
@@ -58,13 +58,12 @@ def idft_apply(freq_block: np.ndarray) -> np.ndarray:
 
     Returns (1/sqrt(N)) * Q^H @ freq_block, so per-column energy is
     preserved and a unit-power constellation stays unit power in time.
+    It is computed by FFT, without forming Q.
     """
     block = np.asarray(freq_block, dtype=complex)
     if block.ndim != 2:
         raise ConfigError(f"expected a 2-D block, got shape {block.shape}")
-    n = block.shape[0]
-    q = dft_matrix(n)
-    return (q.conj().T @ block) / np.sqrt(n)
+    return np.fft.ifft(block, axis=0, norm="ortho")
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> EigenSpectrum:

@@ -148,6 +148,15 @@ class TestSweep:
                   "--trials", "0", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    def test_infeasible_axis_point_exits_one(self, tmp_path, capsys):
+        spec = tmp_path / "sweeps.ini"
+        spec.write_text(SPEC_TEXT.replace("n_max = 12", "n_max = 40"))
+        out = tmp_path / "x.csv"
+        rc = run(["sweep", "--spec", str(spec), "--section", "quick", "--out", str(out)])
+        assert rc == 1
+        assert "N'=43 needs 1849 samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = tmp_path / "sweeps.ini"
         spec.write_text(SPEC_TEXT)

@@ -13,6 +13,7 @@ from ofdmblind.channel import ChannelConfig, apply_block_channel, draw_realizati
 from ofdmblind.errors import ConfigError, DataError
 from ofdmblind.estimator import (
     EstimatorConfig,
+    SegmentationMatrix,
     covariance,
     duplicate_row_check,
     duplicate_row_pairs,
@@ -131,6 +132,42 @@ class TestCovariance:
         c = covariance(segment(x, 8))
         assert np.max(np.abs(c - c.conj().T)) < 1e-12
         assert np.min(np.linalg.eigvalsh(c)) > -1e-12
+
+    @pytest.mark.parametrize("kind", [
+        "complex", "real", "float32", "strided", "iq_sequence", "c_ordered_segment",
+    ])
+    def test_matches_dense_oracle_and_is_exactly_hermitian(self, kind):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(2 * 900) + 1j * rng.standard_normal(2 * 900)
+        n_prime = 13
+        if kind == "complex":
+            seg = segment(x, n_prime)
+        elif kind == "real":
+            seg = segment(x.real, n_prime)
+        elif kind == "float32":
+            seg = segment(x.astype(np.complex64), n_prime)
+        elif kind == "strided":
+            seg = segment(x[::2], n_prime)
+        elif kind == "iq_sequence":
+            seg = segment(IqSequence(samples=x), n_prime)
+        else:
+            data = np.ascontiguousarray(x[:n_prime * 70].reshape(n_prime, 70, order="F"))
+            assert data.flags.c_contiguous
+            seg = SegmentationMatrix(n_prime=n_prime, m_prime=70, data=data)
+        d = np.asarray(seg.data, dtype=complex)
+        want = d @ d.conj().T / seg.m_prime
+        c = covariance(seg)
+        assert c.dtype == np.complex128
+        assert np.max(np.abs(c - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(c, c.conj().T)
+
+    def test_segmented_stream_is_not_copied(self):
+        # the M' x 2N' real view that feeds the Gram product shares memory
+        # with the stream, so a candidate costs no copy of the samples
+        x = np.random.default_rng(5).standard_normal(400).astype(complex)
+        seg = segment(x, 8)
+        assert np.shares_memory(seg.data, x)
+        assert seg.data.T.flags.c_contiguous
 
     def test_white_noise_covariance_near_identity(self):
         rng = np.random.default_rng(3)

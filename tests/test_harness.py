@@ -73,6 +73,12 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="cp_len=0"):
             small_spec(axis="cp_len", axis_values=(3, 0))
 
+    def test_stream_too_short_for_largest_candidate_rejected(self):
+        # N=4 gives 7*20*2 = 280 samples; N'=15 needs 225, N'=18 needs 324
+        with pytest.raises(ConfigError, match=r"n_subcarriers=4: candidate N'=18 needs 324"):
+            small_spec(axis="n_subcarriers", axis_values=(8, 4), n_max=15)
+        assert small_spec(axis="n_subcarriers", axis_values=(8, 4)).n_max == 12
+
 
 class TestPointConfigs:
     def test_snr_axis_only_touches_noise(self):

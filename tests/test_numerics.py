@@ -65,6 +65,13 @@ class TestIdftApply:
         with pytest.raises(ConfigError):
             idft_apply(np.ones(4))
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 48, 64])
+    def test_matches_dense_dft_oracle(self, n):
+        rng = np.random.default_rng(n)
+        block = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
+        want = (dft_matrix(n).conj().T @ block) / np.sqrt(n)
+        assert np.max(np.abs(idft_apply(block) - want)) < 1e-12
+
 
 class TestHermitianEigenvalues:
     def test_identity(self):
