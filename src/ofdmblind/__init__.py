@@ -10,23 +10,10 @@ from .channel import (
     ChannelConfig,
     ChannelRealization,
     apply_block_channel,
-    calibrate_noise,
     draw_realization,
 )
 from .errors import ConfigError, DataError, OfdmBlindError
-from .estimator import (
-    EstimateReport,
-    EstimatorConfig,
-    MdlCurve,
-    SegmentationMatrix,
-    covariance,
-    duplicate_row_check,
-    duplicate_row_pairs,
-    estimate_n,
-    mdl,
-    rank_oracle_noise_free,
-    segment,
-)
+from .estimator import EstimateReport, EstimatorConfig, MdlCurve, estimate_n
 from .harness import (
     SweepPoint,
     SweepResult,
@@ -35,28 +22,13 @@ from .harness import (
     load_preset,
     load_spec_file,
     run_sweep,
-    run_trial,
-    wilson_halfwidth,
-)
-from .numerics import (
-    EigenSpectrum,
-    dft_matrix,
-    hermitian_eigenvalues,
-    idft_apply,
-    numerical_rank,
 )
 from .transmitter import (
     IqSequence,
     OfdmConfig,
-    build_cp_block,
     generate_stream,
-    map_qam,
-    qam_constellation,
     read_iq_file,
-    read_meta_file,
-    serialize_block,
     write_iq_file,
-    write_meta_file,
 )
 
 __version__ = "0.1.0"
@@ -66,44 +38,23 @@ __all__ = [
     "ChannelRealization",
     "ConfigError",
     "DataError",
-    "EigenSpectrum",
     "EstimateReport",
     "EstimatorConfig",
     "IqSequence",
     "MdlCurve",
     "OfdmBlindError",
     "OfdmConfig",
-    "SegmentationMatrix",
     "SweepPoint",
     "SweepResult",
     "SweepSpec",
     "apply_block_channel",
-    "build_cp_block",
-    "calibrate_noise",
-    "covariance",
-    "dft_matrix",
     "draw_realization",
-    "duplicate_row_check",
-    "duplicate_row_pairs",
     "emit_csv",
     "estimate_n",
     "generate_stream",
-    "hermitian_eigenvalues",
-    "idft_apply",
     "load_preset",
     "load_spec_file",
-    "map_qam",
-    "mdl",
-    "numerical_rank",
-    "qam_constellation",
-    "rank_oracle_noise_free",
     "read_iq_file",
-    "read_meta_file",
     "run_sweep",
-    "run_trial",
-    "segment",
-    "serialize_block",
-    "wilson_halfwidth",
     "write_iq_file",
-    "write_meta_file",
 ]

@@ -9,7 +9,6 @@ writes an IQ file, `estimate` recovers the subcarrier count from one,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -31,9 +30,6 @@ from .transmitter import (
     write_iq_file,
     write_meta_file,
 )
-
-THREADS_ENV = "OFDMBLIND_THREADS"
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract here is 1.
@@ -74,9 +70,7 @@ def _build_parser() -> _Parser:
     swp.add_argument("--section", help="section name inside --spec (default: its only one)")
     swp.add_argument("--scale", choices=("desk", "paper"), default="desk")
     swp.add_argument("--trials", type=int, help="override the preset trial count")
-    swp.add_argument("--threads", type=int,
-                     default=int(os.environ.get(THREADS_ENV, "1")),
-                     help=f"worker threads (default ${THREADS_ENV} or 1)")
+    swp.add_argument("--threads", type=int, default=1, help="worker threads")
     swp.add_argument("--out", required=True, help="output CSV path")
 
     rnk = sub.add_parser("rank-check", help="show the noise-free rank signature")
@@ -125,11 +119,11 @@ def cmd_estimate(args) -> int:
     report = estimate_n(samples, cfg)
     if args.report:
         with open(args.report, "w", encoding="ascii") as fh:
-            fh.write("n_prime zeta_hat metric min_mdl\n")
+            fh.write("n_prime floor_ratio zeta_hat metric min_mdl\n")
             for curve in report.per_candidate:
                 fh.write(
-                    f"{curve.n_prime} {curve.zeta_hat} {curve.metric} "
-                    f"{float(np.min(curve.values)):.6g}\n"
+                    f"{curve.n_prime} {curve.floor_ratio:.6g} {curve.zeta_hat} "
+                    f"{curve.metric} {float(np.min(curve.values)):.6g}\n"
                 )
     print(report.n_hat)
     return 0

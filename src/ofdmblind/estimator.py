@@ -57,12 +57,12 @@ collapses far below N+L-1 even at the true N'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .numerics import EIG_FLOOR, EigenSpectrum, hermitian_eigenvalues, numerical_rank
+from .numerics import EIG_FLOOR, hermitian_eigenvalues, numerical_rank
 from .transmitter import IqSequence
 
 # Eigenvalues are floored at this fraction of the largest one before any
@@ -105,14 +105,6 @@ class EstimatorConfig:
 
 
 @dataclass(frozen=True)
-class SegmentationMatrix:
-    """Received stream cut into M' consecutive columns of length N'."""
-    n_prime: int
-    m_prime: int
-    data: np.ndarray
-
-
-@dataclass(frozen=True)
 class MdlCurve:
     """MDL values over zeta = 1..N' for one candidate segment length.
 
@@ -132,6 +124,11 @@ class MdlCurve:
 class EstimateReport:
     """Outcome of the candidate scan.
 
+    `per_candidate` holds one MdlCurve per candidate N', in scan order,
+    with `metric` and `floor_ratio` filled in. `eigen_spectra` maps every
+    candidate N' to the descending eigenvalues of its covariance, the
+    spectrum both statistics were read from.
+
     `ambiguous` is set when the MDL curve of the chosen candidate does not
     confirm it, that is when its miss is nonzero, and always when L > P.
     It marks a decision that only the floor ratio supports. A pick on a
@@ -144,7 +141,7 @@ class EstimateReport:
     chosen_n_prime: int
     per_candidate: tuple
     ambiguous: bool
-    eigen_spectra: dict | None = None
+    eigen_spectra: dict
 
 
 def _samples(r) -> np.ndarray:
@@ -152,9 +149,11 @@ def _samples(r) -> np.ndarray:
     return np.ascontiguousarray(r.samples if isinstance(r, IqSequence) else r, dtype=complex)
 
 
-def segment(r, n_prime: int) -> SegmentationMatrix:
+def segment(r, n_prime: int) -> np.ndarray:
     """Reshape the stream into its N' x M' segment matrix.
 
+    Column m holds samples m*N' .. (m+1)*N' - 1, so the result is an
+    F-ordered view of the stream, M' = floor(len / N') = its shape[1].
     Trailing samples short of a full segment are discarded. At least N'
     full segments are required, so the stream must hold N'^2 samples.
     """
@@ -167,34 +166,34 @@ def segment(r, n_prime: int) -> SegmentationMatrix:
             f"need at least {n_prime * n_prime} samples to segment at N'={n_prime}, "
             f"got {len(x)}"
         )
-    used = x[:n_prime * m_prime]
-    return SegmentationMatrix(
-        n_prime=n_prime,
-        m_prime=m_prime,
-        data=used.reshape(n_prime, m_prime, order="F"),
-    )
+    return x[:n_prime * m_prime].reshape(n_prime, m_prime, order="F")
 
 
-def covariance(seg: SegmentationMatrix) -> np.ndarray:
-    """Sample covariance (1/M') R R^H of a segmentation matrix.
+def covariance(seg: np.ndarray) -> np.ndarray:
+    """Sample covariance (1/M') R R^H of an N' x M' segment matrix R.
 
-    Computed from the real Gram matrix G = Y^T Y of the M' x 2N' float64
-    view Y of R^T, whose row m interleaves the real and imaginary parts
-    of column m of R. With R = A + jB, the entries of G are the sums
+    R is a 2-D array, as segment returns it; any other ndim raises
+    ConfigError. Computed from the real Gram matrix G = Y^T Y of the
+    M' x 2N' float64 view Y of R^T, whose row m interleaves the real and
+    imaginary parts of column m of R. With R = A + jB, the entries of G are the sums
     A A^T, B B^T, B A^T and A B^T, interleaved, so R R^H =
     (A A^T + B B^T) + j(B A^T - A B^T). This takes half the flops of the
     complex product and needs no conjugated copy. The result is exactly
     Hermitian, since G is exactly symmetric.
     """
+    seg = np.asarray(seg)
+    if seg.ndim != 2:
+        raise ConfigError(f"expected an N' x M' segment matrix, got shape {seg.shape}")
+    n_prime, m_prime = seg.shape
     # R^T is already C-contiguous for a segmented stream, so neither the
     # conversion nor the view copies. numpy hands y.T @ y to the BLAS
     # symmetric rank-k update (syrk) only when both operands are views of
     # one buffer; a copied operand would fall back to a general product
     # at twice the cost, and would not guarantee an exactly symmetric G.
-    y = np.ascontiguousarray(seg.data.T, dtype=complex).view(np.float64)
+    y = np.ascontiguousarray(seg.T, dtype=complex).view(np.float64)
     g = y.T @ y
-    g /= seg.m_prime
-    c = np.empty((seg.n_prime, seg.n_prime), dtype=complex)
+    g /= m_prime
+    c = np.empty((n_prime, n_prime), dtype=complex)
     np.add(g[0::2, 0::2], g[1::2, 1::2], out=c.real)
     np.subtract(g[1::2, 0::2], g[0::2, 1::2], out=c.imag)
     return c
@@ -220,18 +219,14 @@ def floor_ratio(lam: np.ndarray, m_prime: int, missing: int) -> float:
 
 
 def mdl(spectrum, m_prime: int) -> MdlCurve:
-    """Evaluate the MDL curve over all split points of one spectrum.
+    """Evaluate the MDL curve over all split points of one descending spectrum.
 
-    Accepts an EigenSpectrum or a plain descending array. Ties in the
-    argmin resolve to the smallest zeta. The returned curve leaves
-    `metric` unset.
+    Ties in the argmin resolve to the smallest zeta. The returned curve
+    leaves `metric` and `floor_ratio` unset.
     """
-    if isinstance(spectrum, EigenSpectrum):
-        lam = spectrum.values
-    else:
-        lam = np.asarray(spectrum, dtype=float)
-        if np.any(np.diff(lam) > 0):
-            raise ConfigError("spectrum must be sorted descending")
+    lam = np.asarray(spectrum, dtype=float)
+    if np.any(np.diff(lam) > 0):
+        raise ConfigError("spectrum must be sorted descending")
     if m_prime < 1:
         raise ConfigError(f"m_prime must be >= 1, got {m_prime}")
     n = len(lam)
@@ -254,15 +249,17 @@ def mdl(spectrum, m_prime: int) -> MdlCurve:
     return MdlCurve(n_prime=n, values=values, zeta_hat=int(np.argmin(values)) + 1)
 
 
-def estimate_n(r, cfg: EstimatorConfig, keep_spectra: bool = False) -> EstimateReport:
+def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     """Scan all candidate segment lengths and pick the best-matching N.
 
-    Every candidate N' is segmented and its covariance eigendecomposed
-    once. The candidate whose P - L + 1 smallest eigenvalues hold the
-    least energy, by floor_ratio, wins, ties going to the smallest N'; the
-    reported estimate is N' - P. Each candidate's MDL curve and its miss
-    against N' + L - 1 - P are reported alongside, and the result is
-    ambiguous when the winner's miss is nonzero. For L > P the rank
+    Each candidate N' is segmented, its covariance eigendecomposed once,
+    and the descending spectrum read by floor_ratio and mdl; every
+    spectrum is returned in the report. The candidate whose P - L + 1
+    smallest eigenvalues hold the least energy, by floor_ratio, wins, ties
+    going to the smallest N'; the reported estimate is N' - P. Each
+    candidate's MDL curve and its miss against N' + L - 1 - P are
+    reported alongside, and the result is ambiguous when the winner's
+    miss is nonzero. For L > P the rank
     theorem predicts no missing rank: nothing is scored, the smallest
     candidate is reported, and the result is ambiguous.
     """
@@ -274,18 +271,20 @@ def estimate_n(r, cfg: EstimatorConfig, keep_spectra: bool = False) -> EstimateR
         )
     missing = cfg.cp_len - cfg.num_taps + 1
     curves = []
-    spectra = {} if keep_spectra else None
+    spectra = {}
     for n_prime in cfg.candidates:
         seg = segment(x, n_prime)
-        spec = hermitian_eigenvalues(covariance(seg))
-        curve = mdl(spec, seg.m_prime)
-        curves.append(replace(
-            curve,
+        m_prime = seg.shape[1]
+        lam = hermitian_eigenvalues(covariance(seg))
+        curve = mdl(lam, m_prime)
+        curves.append(MdlCurve(
+            n_prime=n_prime,
+            values=curve.values,
+            zeta_hat=curve.zeta_hat,
             metric=abs(curve.zeta_hat - (n_prime - missing)),
-            floor_ratio=floor_ratio(spec.values, seg.m_prime, missing) if missing > 0 else None,
+            floor_ratio=floor_ratio(lam, m_prime, missing) if missing > 0 else None,
         ))
-        if keep_spectra:
-            spectra[n_prime] = spec
+        spectra[n_prime] = lam
     if missing > 0:
         best = min(curves, key=lambda c: (c.floor_ratio, c.n_prime))
     else:
@@ -301,7 +300,7 @@ def estimate_n(r, cfg: EstimatorConfig, keep_spectra: bool = False) -> EstimateR
 
 def rank_oracle_noise_free(r, n_prime: int, rel_tol: float = 1e-9) -> int:
     """Numerical rank of the segmentation matrix; noise-free test oracle."""
-    return numerical_rank(segment(r, n_prime).data, rel_tol=rel_tol)
+    return numerical_rank(segment(r, n_prime), rel_tol=rel_tol)
 
 
 def duplicate_row_pairs(r, n: int, p: int, l: int) -> list:
@@ -314,8 +313,8 @@ def duplicate_row_pairs(r, n: int, p: int, l: int) -> list:
     seg = segment(r, n + p)
     pairs = []
     for i in range(l, p + 1):
-        a = seg.data[i - 1, 1:]
-        b = seg.data[i - 1 + n, 1:]
+        a = seg[i - 1, 1:]
+        b = seg[i - 1 + n, 1:]
         if np.max(np.abs(a - b)) <= DUPLICATE_ROW_TOL * max(1.0, np.max(np.abs(a))):
             pairs.append((i, i + n))
     return pairs

@@ -2,13 +2,11 @@
 
 Everything here is a thin, contract-checked layer over NumPy: the DFT
 matrix, the unitary IDFT (by FFT), Hermitian eigenvalue extraction, and
-numerical rank via singular values. Matrices are plain complex ndarrays;
+numerical rank via singular values. Inputs and results are plain ndarrays;
 indexing is 0-based throughout the code even where the surrounding maths
 is conventionally written 1-based.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,24 +20,6 @@ EIG_FLOOR = 1e-30
 
 # Default relative threshold for numerical rank.
 RANK_REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EigenSpectrum:
-    """Descending real eigenvalues of a Hermitian matrix of order `dimension`."""
-    values: np.ndarray
-    dimension: int
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (self.dimension,):
-            raise ConfigError(
-                f"spectrum length {vals.shape} does not match dimension {self.dimension}"
-            )
-        if np.any(np.diff(vals) > 0):
-            raise ConfigError("eigenvalues must be sorted descending")
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -66,13 +46,15 @@ def idft_apply(freq_block: np.ndarray) -> np.ndarray:
     return np.fft.ifft(block, axis=0, norm="ortho")
 
 
-def hermitian_eigenvalues(m: np.ndarray) -> EigenSpectrum:
-    """Eigenvalues of a Hermitian matrix, sorted descending.
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a square Hermitian matrix, as a descending float array.
 
-    The spectrum is returned as computed, so the eigenvalue sum matches
-    the trace; consumers that take logarithms or quotients (the MDL
-    criterion, the floor ratio) clamp at their floor themselves. Roundoff
-    on PSD inputs can leave tiny negative values here.
+    A matrix that is not square, or whose largest asymmetry exceeds
+    HERMITIAN_TOL * max(1, largest |entry|), raises ConfigError. The
+    spectrum is returned as computed, so the eigenvalue sum matches the
+    trace; consumers that take logarithms or quotients (the MDL criterion,
+    the floor ratio) clamp at their floor themselves. Roundoff on PSD
+    inputs can leave tiny negative values here.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -83,8 +65,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> EigenSpectrum:
         raise ConfigError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} at scale {scale:.3e}"
         )
-    vals = np.linalg.eigvalsh(a)[::-1]
-    return EigenSpectrum(values=vals, dimension=a.shape[0])
+    return np.linalg.eigvalsh(a)[::-1]
 
 
 def numerical_rank(m: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:

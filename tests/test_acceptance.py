@@ -63,7 +63,7 @@ def test_c01_sixteen_sample_rank_and_rows():
         r = noise_free(2, 2, 2, m=2, k=2, data_seed=(10, seed), chan_seed=(11, seed))
         seg = segment(r, 4)
         rank = rank_oracle_noise_free(r, 4)
-        gap = np.max(np.abs(seg.data[1, :] - seg.data[3, :]))
+        gap = np.max(np.abs(seg[1, :] - seg[3, :]))
         if rank != 3 or gap > 1e-10:
             bad.append((seed, rank, gap))
     elapsed = time.perf_counter() - start
@@ -122,7 +122,7 @@ def test_c04_noise_floor_convergence():
             s = generate_stream(cfg, (40, m, seed))
             real = draw_realization(chan, 2, (41, m, seed))
             r = apply_block_channel(s, real, noise_seed=(42, m, seed))
-            lam = hermitian_eigenvalues(covariance(segment(r, 20))).values
+            lam = hermitian_eigenvalues(covariance(segment(r, 20)))
             acc.append(np.mean(lam[-3:]))
     err = {m: abs(np.mean(acc) - sigma2) / sigma2 for m, acc in means.items()}
     elapsed = time.perf_counter() - start

@@ -90,10 +90,13 @@ class TestEstimate:
                   "--n-min", "4", "--n-max", "12", "--report", str(table)])
         assert rc == 0
         lines = table.read_text().splitlines()
-        assert lines[0] == "n_prime zeta_hat metric min_mdl"
+        assert lines[0] == "n_prime floor_ratio zeta_hat metric min_mdl"
         # candidates 7..15, one row each
         assert len(lines) == 10
         assert lines[1].split()[0] == "7"
+        # the floor ratio decides: its smallest row is the chosen N' = 8 + 3
+        rows = [line.split() for line in lines[1:]]
+        assert min(rows, key=lambda row: float(row[1]))[0] == "11"
 
     def test_truncated_file_exits_two(self, tmp_path, capsys):
         short = tmp_path / "short.iq"
@@ -187,6 +190,12 @@ class TestRankCheck:
     def test_taps_beyond_cp_exits_one(self, capsys):
         rc = run(["rank-check", "--taps", "3", "--cp", "2"])
         assert rc == 1
+
+    def test_threads_environment_variable_ignored(self, monkeypatch, capsys):
+        # worker threads are set by --threads alone; a stray environment
+        # value must not break argument parsing for any subcommand
+        monkeypatch.setenv("OFDMBLIND_THREADS", "abc")
+        assert run(["rank-check"]) == 0
 
 
 class TestParsing:

@@ -13,7 +13,6 @@ from ofdmblind.channel import ChannelConfig, apply_block_channel, draw_realizati
 from ofdmblind.errors import ConfigError, DataError
 from ofdmblind.estimator import (
     EstimatorConfig,
-    SegmentationMatrix,
     covariance,
     duplicate_row_check,
     duplicate_row_pairs,
@@ -24,7 +23,6 @@ from ofdmblind.estimator import (
     segment,
 )
 from ofdmblind.harness import load_preset, point_configs
-from ofdmblind.numerics import EigenSpectrum
 from ofdmblind.transmitter import IqSequence, OfdmConfig, generate_stream
 
 
@@ -85,16 +83,15 @@ class TestEstimatorConfig:
 class TestSegment:
     def test_columns_are_consecutive_runs(self):
         seg = segment(np.arange(1, 21, dtype=complex), 4)
-        assert seg.m_prime == 5
-        assert seg.data[:, 0] == pytest.approx([1, 2, 3, 4])
-        assert seg.data[:, 1] == pytest.approx([5, 6, 7, 8])
+        assert seg.shape[1] == 5
+        assert seg[:, 0] == pytest.approx([1, 2, 3, 4])
+        assert seg[:, 1] == pytest.approx([5, 6, 7, 8])
 
     def test_trailing_samples_discarded(self):
         seg = segment(np.arange(16, dtype=complex), 3)
-        assert seg.m_prime == 5
-        assert seg.data.shape == (3, 5)
+        assert seg.shape == (3, 5)
         # sample 16 never appears
-        assert seg.data.ravel(order="F") == pytest.approx(np.arange(15))
+        assert seg.ravel(order="F") == pytest.approx(np.arange(15))
 
     def test_insufficient_data_names_minimum(self):
         with pytest.raises(DataError, match="16"):
@@ -103,8 +100,7 @@ class TestSegment:
     def test_iq_sequence_accepted(self):
         cfg = OfdmConfig(n_subcarriers=2, cp_len=2, symbols_per_block=2, num_blocks=2)
         seg = segment(generate_stream(cfg, 0), 4)
-        assert seg.n_prime == 4
-        assert seg.m_prime == 4
+        assert seg.shape == (4, 4)
 
 
 class TestCovariance:
@@ -123,7 +119,7 @@ class TestCovariance:
         x = rng.standard_normal(60) + 1j * rng.standard_normal(60)
         seg = segment(x, 6)
         c = covariance(seg)
-        want = np.sum(np.abs(seg.data) ** 2) / seg.m_prime
+        want = np.sum(np.abs(seg) ** 2) / seg.shape[1]
         assert np.trace(c).real == pytest.approx(want)
 
     def test_hermitian_psd(self):
@@ -151,11 +147,10 @@ class TestCovariance:
         elif kind == "iq_sequence":
             seg = segment(IqSequence(samples=x), n_prime)
         else:
-            data = np.ascontiguousarray(x[:n_prime * 70].reshape(n_prime, 70, order="F"))
-            assert data.flags.c_contiguous
-            seg = SegmentationMatrix(n_prime=n_prime, m_prime=70, data=data)
-        d = np.asarray(seg.data, dtype=complex)
-        want = d @ d.conj().T / seg.m_prime
+            seg = np.ascontiguousarray(x[:n_prime * 70].reshape(n_prime, 70, order="F"))
+            assert seg.flags.c_contiguous
+        d = np.asarray(seg, dtype=complex)
+        want = d @ d.conj().T / seg.shape[1]
         c = covariance(seg)
         assert c.dtype == np.complex128
         assert np.max(np.abs(c - want)) <= 1e-12 * np.max(np.abs(want))
@@ -166,8 +161,13 @@ class TestCovariance:
         # with the stream, so a candidate costs no copy of the samples
         x = np.random.default_rng(5).standard_normal(400).astype(complex)
         seg = segment(x, 8)
-        assert np.shares_memory(seg.data, x)
-        assert seg.data.T.flags.c_contiguous
+        assert np.shares_memory(seg, x)
+        assert seg.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", [(20,), (2, 4, 5)], ids=["1-d", "3-d"])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(ConfigError):
+            covariance(np.zeros(shape, dtype=complex))
 
     def test_white_noise_covariance_near_identity(self):
         rng = np.random.default_rng(3)
@@ -213,11 +213,6 @@ class TestMdl:
     def test_final_split_is_pure_penalty(self):
         curve = mdl(np.array([5.0, 1.0, 0.5]), 50)
         assert curve.values[-1] == pytest.approx(0.5 * 9 * math.log(50))
-
-    def test_eigen_spectrum_input(self):
-        lam = np.array([4.0, 2.0, 1.0])
-        spec = EigenSpectrum(values=lam, dimension=3)
-        assert mdl(spec, 20).values == pytest.approx(mdl(lam, 20).values)
 
     def test_ascending_rejected(self):
         with pytest.raises(ConfigError):
@@ -369,9 +364,25 @@ class TestEstimateN:
     def test_spectra_kept_on_request(self):
         r = faded_stream(4, 2, 2, m=20, k=2, seed=6)
         cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=8)
-        report = estimate_n(r, cfg, keep_spectra=True)
+        report = estimate_n(r, cfg)
         assert set(report.eigen_spectra) == set(cfg.candidates)
-        assert estimate_n(r, cfg).eigen_spectra is None
+
+    def test_report_reads_its_own_spectra(self):
+        # every per-candidate statistic is a function of the reported
+        # spectrum alone, so a reader can recompute the decision from it
+        r = noisy_stream(8, 3, 2, m=30, k=2, seed=7, snr_db=10.0)
+        x = r.samples
+        cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=12)
+        missing = cfg.cp_len - cfg.num_taps + 1
+        report = estimate_n(r, cfg)
+        for curve in report.per_candidate:
+            n_prime = curve.n_prime
+            lam = report.eigen_spectra[n_prime]
+            assert lam.shape == (n_prime,)
+            assert np.all(np.diff(lam) <= 0)
+            m_prime = len(x) // n_prime
+            assert floor_ratio(lam, m_prime, missing) == curve.floor_ratio
+            assert np.array_equal(mdl(lam, m_prime).values, curve.values)
 
 
 class TestDuplicateRows:

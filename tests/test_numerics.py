@@ -4,7 +4,6 @@ import pytest
 
 from ofdmblind.errors import ConfigError
 from ofdmblind.numerics import (
-    EigenSpectrum,
     dft_matrix,
     hermitian_eigenvalues,
     idft_apply,
@@ -76,19 +75,19 @@ class TestIdftApply:
 class TestHermitianEigenvalues:
     def test_identity(self):
         spec = hermitian_eigenvalues(np.eye(3))
-        assert spec.values == pytest.approx([1.0, 1.0, 1.0])
-        assert spec.dimension == 3
+        assert spec == pytest.approx([1.0, 1.0, 1.0])
+        assert spec.shape == (3,)
 
     def test_diagonal_sorted_descending(self):
         spec = hermitian_eigenvalues(np.diag([5.0, 2.0, 9.0]))
-        assert spec.values == pytest.approx([9.0, 5.0, 2.0])
+        assert spec == pytest.approx([9.0, 5.0, 2.0])
 
     def test_rank_one_outer_product(self):
         # v v^H with v = [1, j]: trace 2, determinant 0
         v = np.array([1.0, 1j])
         spec = hermitian_eigenvalues(np.outer(v, v.conj()))
-        assert spec.values[0] == pytest.approx(2.0)
-        assert spec.values[1] == pytest.approx(0.0, abs=1e-12)
+        assert spec[0] == pytest.approx(2.0)
+        assert spec[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_non_square_rejected(self):
         with pytest.raises(ConfigError):
@@ -107,14 +106,14 @@ class TestHermitianEigenvalues:
         h = (a + a.conj().T) / 2
         spec = hermitian_eigenvalues(h)
         trace = float(np.trace(h).real)
-        assert np.sum(spec.values) == pytest.approx(trace, rel=1e-8)
+        assert np.sum(spec) == pytest.approx(trace, rel=1e-8)
 
     def test_positive_scaling_scales_spectrum(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         h = a @ a.conj().T
-        base = hermitian_eigenvalues(h).values
-        scaled = hermitian_eigenvalues(2.5 * h).values
+        base = hermitian_eigenvalues(h)
+        scaled = hermitian_eigenvalues(2.5 * h)
         assert scaled == pytest.approx(2.5 * base, rel=1e-10)
 
     def test_psd_negatives_stay_at_roundoff_scale(self):
@@ -123,17 +122,7 @@ class TestHermitianEigenvalues:
         rng = np.random.default_rng(8)
         a = rng.standard_normal((12, 40)) + 1j * rng.standard_normal((12, 40))
         spec = hermitian_eigenvalues(a @ a.conj().T / 40)
-        assert np.min(spec.values) > -1e-12 * spec.values[0]
-
-
-class TestEigenSpectrum:
-    def test_rejects_ascending(self):
-        with pytest.raises(ConfigError):
-            EigenSpectrum(values=np.array([1.0, 2.0]), dimension=2)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            EigenSpectrum(values=np.array([2.0, 1.0]), dimension=3)
+        assert np.min(spec) > -1e-12 * spec[0]
 
 
 class TestNumericalRank:
