@@ -19,6 +19,7 @@ from .estimator import (
     EstimatorConfig,
     duplicate_row_pairs,
     estimate_n,
+    mdl,
     rank_oracle_noise_free,
 )
 from .harness import PRESET_NAMES, emit_csv, load_preset, load_spec_file, run_sweep
@@ -118,13 +119,14 @@ def cmd_estimate(args) -> int:
     samples = read_iq_file(args.infile)
     report = estimate_n(samples, cfg)
     if args.report:
+        missing = args.cp - args.taps + 1
         with open(args.report, "w", encoding="ascii") as fh:
             fh.write("n_prime floor_ratio zeta_hat metric min_mdl\n")
-            for curve in report.per_candidate:
-                fh.write(
-                    f"{curve.n_prime} {curve.floor_ratio:.6g} {curve.zeta_hat} "
-                    f"{curve.metric} {float(np.min(curve.values)):.6g}\n"
-                )
+            for n_prime, ratio in report.floor_ratios.items():
+                curve = mdl(report.eigen_spectra[n_prime], len(samples) // n_prime)
+                miss = abs(curve.zeta_hat - (n_prime - missing))
+                fh.write(f"{n_prime} {ratio:.6g} {curve.zeta_hat} {miss} "
+                         f"{float(np.min(curve.values)):.6g}\n")
     print(report.n_hat)
     return 0
 

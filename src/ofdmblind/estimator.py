@@ -37,17 +37,19 @@ N = N' - P. Every quotient is scale invariant. For L > P the rank theorem
 predicts no missing rank, so nothing is scored and the scan reports an
 ambiguous result.
 
-Each candidate also carries the MDL curve of its spectrum. For a split
-point zeta (number of "signal" eigenvalues), the residual lambda_{zeta+1}
-.. lambda_{N'} is scored by how far its geometric mean falls below its
-arithmetic mean, a gap that vanishes only when the residuals are flat:
+The floor ratio is the only statistic the scan computes per candidate.
+The winner alone is then cross-checked by the MDL curve of its spectrum.
+For a split point zeta (number of "signal" eigenvalues), the residual
+lambda_{zeta+1} .. lambda_{N'} is scored by how far its geometric mean
+falls below its arithmetic mean, a gap that vanishes only when the
+residuals are flat:
 
     MDL(zeta; N') = -(N' - zeta) * M' * ln(GM/AM) + 0.5 * zeta * (2N' - zeta) * ln(M')
 
 evaluated for zeta = 1..N'-1; the degenerate split zeta = N' has an
 empty residual and is scored by its penalty alone. At the correct
 segmentation the minimizing zeta should sit at the signal-subspace
-dimension N+L-1. The curve confirms the chosen candidate when its miss
+dimension N+L-1. The curve confirms the winner when its miss
 |zeta_hat - (N' + L - 1 - P)| is zero; it does not decide, and the
 scan reports an ambiguous result when it does not confirm. With few
 segments the penalty, about N' ln M' per signal eigenvalue, outweighs the
@@ -106,28 +108,21 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class MdlCurve:
-    """MDL values over zeta = 1..N' for one candidate segment length.
-
-    `metric` is the candidate's miss |zeta_hat - (N' + L - 1 - P)| and
-    `floor_ratio` the statistic the scan minimizes (see the module
-    docstring); estimate_n fills both in, since it knows P and L. The
-    floor ratio stays None when L > P, where no rank is missing.
-    """
+    """MDL values over zeta = 1..N' of one spectrum, and their argmin zeta_hat."""
     n_prime: int
     values: np.ndarray
     zeta_hat: int
-    metric: int | None = None
-    floor_ratio: float | None = None
 
 
 @dataclass(frozen=True)
 class EstimateReport:
     """Outcome of the candidate scan.
 
-    `per_candidate` holds one MdlCurve per candidate N', in scan order,
-    with `metric` and `floor_ratio` filled in. `eigen_spectra` maps every
-    candidate N' to the descending eigenvalues of its covariance, the
-    spectrum both statistics were read from.
+    `floor_ratios` maps every candidate N', in scan order, to the
+    floor_ratio that ranked it; it is empty when L > P, where nothing is
+    scored. `eigen_spectra` maps every candidate N' to the descending
+    eigenvalues of its covariance, so any per-candidate statistic, the
+    MDL curve included, can be recomputed with M' = len(stream) // N'.
 
     `ambiguous` is set when the MDL curve of the chosen candidate does not
     confirm it, that is when its miss is nonzero, and always when L > P.
@@ -139,7 +134,7 @@ class EstimateReport:
     """
     n_hat: int
     chosen_n_prime: int
-    per_candidate: tuple
+    floor_ratios: dict
     ambiguous: bool
     eigen_spectra: dict
 
@@ -221,8 +216,7 @@ def floor_ratio(lam: np.ndarray, m_prime: int, missing: int) -> float:
 def mdl(spectrum, m_prime: int) -> MdlCurve:
     """Evaluate the MDL curve over all split points of one descending spectrum.
 
-    Ties in the argmin resolve to the smallest zeta. The returned curve
-    leaves `metric` and `floor_ratio` unset.
+    Ties in the argmin resolve to the smallest zeta.
     """
     lam = np.asarray(spectrum, dtype=float)
     if np.any(np.diff(lam) > 0):
@@ -253,15 +247,15 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     """Scan all candidate segment lengths and pick the best-matching N.
 
     Each candidate N' is segmented, its covariance eigendecomposed once,
-    and the descending spectrum read by floor_ratio and mdl; every
-    spectrum is returned in the report. The candidate whose P - L + 1
-    smallest eigenvalues hold the least energy, by floor_ratio, wins, ties
-    going to the smallest N'; the reported estimate is N' - P. Each
-    candidate's MDL curve and its miss against N' + L - 1 - P are
-    reported alongside, and the result is ambiguous when the winner's
-    miss is nonzero. For L > P the rank
-    theorem predicts no missing rank: nothing is scored, the smallest
-    candidate is reported, and the result is ambiguous.
+    and the descending spectrum scored by floor_ratio alone; every ratio
+    and spectrum is returned in the report. The candidate whose P - L + 1
+    smallest eigenvalues hold the least energy wins, ties going to the
+    smallest N'; the reported estimate is N' - P. Only the winner's
+    spectrum is read by mdl, and the result is ambiguous when its split
+    misses N' + L - 1 - P. For L > P the rank theorem predicts no missing
+    rank: nothing is scored, the smallest candidate is reported, and the
+    result is ambiguous. A stream too short for the largest candidate, or
+    holding a NaN or infinite sample, raises DataError.
     """
     x = _samples(r)
     worst = cfg.candidates[-1]
@@ -269,31 +263,26 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
         raise DataError(
             f"candidate N'={worst} needs {worst * worst} samples, got {len(x)}"
         )
+    if not np.isfinite(x).all():
+        raise DataError("the stream holds NaN or infinite samples")
     missing = cfg.cp_len - cfg.num_taps + 1
-    curves = []
-    spectra = {}
+    ratios, spectra = {}, {}
     for n_prime in cfg.candidates:
         seg = segment(x, n_prime)
-        m_prime = seg.shape[1]
         lam = hermitian_eigenvalues(covariance(seg))
-        curve = mdl(lam, m_prime)
-        curves.append(MdlCurve(
-            n_prime=n_prime,
-            values=curve.values,
-            zeta_hat=curve.zeta_hat,
-            metric=abs(curve.zeta_hat - (n_prime - missing)),
-            floor_ratio=floor_ratio(lam, m_prime, missing) if missing > 0 else None,
-        ))
+        if missing > 0:
+            ratios[n_prime] = floor_ratio(lam, seg.shape[1], missing)
         spectra[n_prime] = lam
+    best, ambiguous = cfg.candidates[0], True
     if missing > 0:
-        best = min(curves, key=lambda c: (c.floor_ratio, c.n_prime))
-    else:
-        best = curves[0]
+        # the first minimum in scan order, so ties go to the smallest N'
+        best = min(ratios, key=ratios.get)
+        ambiguous = mdl(spectra[best], len(x) // best).zeta_hat != best - missing
     return EstimateReport(
-        n_hat=best.n_prime - cfg.cp_len,
-        chosen_n_prime=best.n_prime,
-        per_candidate=tuple(curves),
-        ambiguous=missing <= 0 or best.metric > 0,
+        n_hat=best - cfg.cp_len,
+        chosen_n_prime=best,
+        floor_ratios=ratios,
+        ambiguous=ambiguous,
         eigen_spectra=spectra,
     )
 

@@ -9,9 +9,9 @@ scheduled, and a rerun of the same spec is byte-for-byte reproducible.
 """
 from __future__ import annotations
 
+import configparser
 import math
 from concurrent.futures import ThreadPoolExecutor
-from configparser import ConfigParser
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -252,9 +252,12 @@ def _spec_from_section(name: str, section) -> SweepSpec:
 
 def parse_sweep_specs(text: str) -> dict:
     """Parse key=value sweep sections from a config string."""
-    parser = ConfigParser()
-    parser.read_string(text)
-    return {name: _spec_from_section(name, parser[name]) for name in parser.sections()}
+    parser = configparser.ConfigParser()
+    try:
+        parser.read_string(text)
+        return {name: _spec_from_section(name, parser[name]) for name in parser.sections()}
+    except configparser.Error as err:
+        raise ConfigError(f"malformed sweep spec: {err}") from None
 
 
 def load_spec_file(path) -> dict:
@@ -263,6 +266,8 @@ def load_spec_file(path) -> dict:
             return parse_sweep_specs(fh.read())
     except OSError as err:
         raise DataError(f"cannot read sweep spec {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"sweep spec {path} is not ASCII: {err}") from None
 
 
 def load_preset(name: str, scale: str = "desk") -> SweepSpec:

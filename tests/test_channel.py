@@ -52,6 +52,11 @@ class TestChannelConfig:
         with pytest.raises(ConfigError):
             ChannelConfig(**kwargs)
 
+    def test_nan_snr_rejected(self):
+        # a NaN SNR would calibrate to NaN noise power and pass as noise-free
+        with pytest.raises(ConfigError, match="nan"):
+            ChannelConfig(num_taps=2, snr_db=float("nan"), block_len=10)
+
 
 class TestCalibrateNoise:
     @pytest.mark.parametrize("snr_db,expected", [

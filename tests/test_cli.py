@@ -60,6 +60,13 @@ class TestGenerate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_snr_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "x.iq"
+        rc = run(["generate", "--snr-db", "nan", "--out", str(out)])
+        assert rc == 1
+        assert "snr_db" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.iq", tmp_path / "b.iq"
         common = ["generate", "--n", "8", "--cp", "3", "--symbols", "10",
@@ -106,6 +113,18 @@ class TestEstimate:
         assert rc == 2
         assert "3025" in capsys.readouterr().err
 
+    def test_non_finite_sample_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "cap.iq"
+        run(["generate", "--taps", "4", "--snr-db", "20", "--seed", "3", "--out", str(out)])
+        raw = np.fromfile(out, dtype="<f4")
+        raw[101] = np.nan
+        raw.tofile(out)
+        capsys.readouterr()
+        rc = run(["estimate", "--in", str(out), "--cp", "7", "--taps", "4",
+                  "--n-min", "16", "--n-max", "48"])
+        assert rc == 2
+        assert "NaN" in capsys.readouterr().err
+
     def test_reversed_range_exits_one(self, tmp_path, capsys):
         out = tmp_path / "cap.iq"
         run(["generate", "--n", "8", "--cp", "3", "--symbols", "20",
@@ -143,6 +162,22 @@ class TestSweep:
         rc = run(["sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "--section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        b"axis = snr_db\n",
+        b"[quick]\naxis = snr_db\n[quick]\naxis = snr_db\n",
+        SPEC_TEXT.encode("ascii").replace(b"snr_db = 10", b"snr_db = 10\xb5"),
+        SPEC_TEXT.encode("ascii").replace(b"snr_db = 10", b"snr_db = 10%"),
+    ], ids=["no-section-header", "duplicate-section", "non-ascii-byte", "stray-percent"])
+    def test_malformed_spec_exits_one(self, tmp_path, capsys, text):
+        spec = tmp_path / "sweeps.ini"
+        spec.write_bytes(text)
+        out = tmp_path / "x.csv"
+        rc = run(["sweep", "--spec", str(spec), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert not out.exists()
 
     def test_zero_trials_exits_one(self, tmp_path, capsys):
         spec = tmp_path / "sweeps.ini"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ofdmblind.channel import ChannelConfig, apply_block_channel, draw_realization
+from ofdmblind import estimator
 from ofdmblind.errors import ConfigError, DataError
 from ofdmblind.estimator import (
     EstimatorConfig,
@@ -274,9 +275,8 @@ class TestEstimateN:
         assert report.n_hat == 8
         assert report.chosen_n_prime == 11
         assert not report.ambiguous
-        winner = next(c for c in report.per_candidate if c.n_prime == 11)
-        assert winner.metric == 0
-        assert winner.zeta_hat == 9
+        # the winner's MDL split lands on N + L - 1, a miss of zero
+        assert mdl(report.eigen_spectra[11], len(r) // 11).zeta_hat == 9
 
     def test_high_snr_mostly_correct(self):
         wins = 0
@@ -301,9 +301,13 @@ class TestEstimateN:
         real = draw_realization(chan, ofdm.num_blocks, chan_ss)
         r = apply_block_channel(generate_stream(ofdm, data_ss), real, noise_ss)
         report = estimate_n(r, est)
-        at_truth = next(c for c in report.per_candidate if c.n_prime == 39)
-        assert at_truth.zeta_hat == 1
-        assert min(report.per_candidate, key=lambda c: (c.metric, c.n_prime)).n_prime == 23
+        missing = est.cp_len - est.num_taps + 1
+        misses = {
+            n_prime: abs(mdl(lam, len(r) // n_prime).zeta_hat - (n_prime - missing))
+            for n_prime, lam in report.eigen_spectra.items()
+        }
+        assert mdl(report.eigen_spectra[39], len(r) // 39).zeta_hat == 1
+        assert min(misses, key=lambda n_prime: (misses[n_prime], n_prime)) == 23
         assert report.n_hat == 32
         assert report.ambiguous
 
@@ -319,8 +323,8 @@ class TestEstimateN:
         a = estimate_n(r, cfg)
         b = estimate_n(1e3 * r.samples, cfg)
         assert a.n_hat == b.n_hat == 8
-        assert [c.floor_ratio for c in b.per_candidate] == pytest.approx(
-            [c.floor_ratio for c in a.per_candidate])
+        assert list(b.floor_ratios) == list(a.floor_ratios)
+        assert list(b.floor_ratios.values()) == pytest.approx(list(a.floor_ratios.values()))
 
     def test_channel_longer_than_cp_is_ambiguous(self):
         # L > P: no rank is missing anywhere, so nothing is scored
@@ -329,15 +333,17 @@ class TestEstimateN:
         report = estimate_n(r, cfg)
         assert report.ambiguous
         assert report.chosen_n_prime == cfg.candidates[0]
-        assert all(c.floor_ratio is None for c in report.per_candidate)
-        assert all(c.metric is not None for c in report.per_candidate)
+        assert report.floor_ratios == {}
+        assert set(report.eigen_spectra) == set(cfg.candidates)
 
     def test_range_without_truth_is_ambiguous(self):
         r = faded_stream(8, 3, 2, m=120, k=2, seed=3)
         cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=16, n_max=32)
         report = estimate_n(r, cfg)
         assert report.ambiguous
-        assert all(c.metric > 0 for c in report.per_candidate)
+        missing = cfg.cp_len - cfg.num_taps + 1
+        for n_prime, lam in report.eigen_spectra.items():
+            assert mdl(lam, len(r) // n_prime).zeta_hat != n_prime - missing
 
     def test_pure_function_of_inputs(self):
         r = faded_stream(4, 2, 2, m=20, k=2, seed=4)
@@ -345,21 +351,51 @@ class TestEstimateN:
         a = estimate_n(r, cfg)
         b = estimate_n(r, cfg)
         assert a.n_hat == b.n_hat
-        for ca, cb in zip(a.per_candidate, b.per_candidate):
-            assert np.array_equal(ca.values, cb.values)
+        assert a.floor_ratios == b.floor_ratios
+        for n_prime, lam in a.eigen_spectra.items():
+            assert np.array_equal(lam, b.eigen_spectra[n_prime])
 
     def test_candidates_reported_in_order(self):
         r = faded_stream(4, 2, 2, m=20, k=2, seed=5)
         cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=8)
         report = estimate_n(r, cfg)
-        assert [c.n_prime for c in report.per_candidate] == list(cfg.candidates)
-        assert all(c.metric is not None for c in report.per_candidate)
+        assert list(report.floor_ratios) == list(cfg.candidates)
+        assert list(report.eigen_spectra) == list(cfg.candidates)
         assert report.n_hat == report.chosen_n_prime - cfg.cp_len
 
     def test_insufficient_data_names_worst_candidate(self):
         cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=16)
         with pytest.raises(DataError, match="361"):
             estimate_n(np.zeros(100, dtype=complex), cfg)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+    def test_non_finite_sample_rejected(self, bad):
+        x = noisy_stream(8, 3, 2, m=30, k=2, seed=8, snr_db=20.0).samples.copy()
+        x[17] = bad
+        cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=12)
+        with pytest.raises(DataError, match="NaN or infinite"):
+            estimate_n(x, cfg)
+
+    @pytest.mark.parametrize("taps", [2, 5], ids=["scored", "taps-beyond-cp"])
+    def test_mdl_read_at_most_once(self, monkeypatch, taps):
+        # the floor ratio alone ranks the candidates; MDL is read only at
+        # the winner, and not at all when L > P leaves nothing to score
+        calls = []
+        real_mdl = estimator.mdl
+
+        def counted_mdl(spectrum, m_prime):
+            calls.append((spectrum, m_prime))
+            return real_mdl(spectrum, m_prime)
+
+        monkeypatch.setattr(estimator, "mdl", counted_mdl)
+        r = noisy_stream(8, 3, taps, m=30, k=2, seed=9, snr_db=20.0)
+        cfg = EstimatorConfig(cp_len=3, num_taps=taps, n_min=4, n_max=12)
+        report = estimate_n(r, cfg)
+        if taps <= cfg.cp_len:
+            assert len(calls) == 1
+            assert calls[0][0] is report.eigen_spectra[report.chosen_n_prime]
+        else:
+            assert calls == []
 
     def test_spectra_kept_on_request(self):
         r = faded_stream(4, 2, 2, m=20, k=2, seed=6)
@@ -375,14 +411,15 @@ class TestEstimateN:
         cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=12)
         missing = cfg.cp_len - cfg.num_taps + 1
         report = estimate_n(r, cfg)
-        for curve in report.per_candidate:
-            n_prime = curve.n_prime
+        for n_prime, ratio in report.floor_ratios.items():
             lam = report.eigen_spectra[n_prime]
             assert lam.shape == (n_prime,)
             assert np.all(np.diff(lam) <= 0)
-            m_prime = len(x) // n_prime
-            assert floor_ratio(lam, m_prime, missing) == curve.floor_ratio
-            assert np.array_equal(mdl(lam, m_prime).values, curve.values)
+            assert floor_ratio(lam, len(x) // n_prime, missing) == ratio
+        best = min(report.floor_ratios, key=report.floor_ratios.get)
+        assert best == report.chosen_n_prime
+        zeta_hat = mdl(report.eigen_spectra[best], len(x) // best).zeta_hat
+        assert report.ambiguous == (zeta_hat != best - missing)
 
 
 class TestDuplicateRows:
