@@ -5,6 +5,11 @@ drawn independently per block and held constant within it. Because the
 convolution tail of block k-1 spills into the first L-1 samples of
 block k, the channel is applied as one streaming convolution whose taps
 switch at block boundaries, not as K isolated convolutions.
+
+Each tap is circular complex Gaussian with variance 1/L, so the expected
+channel energy E||h_k||^2 is one and the received signal power matches
+the unit transmit power on average; that is what makes an SNR comparable
+across L, and why the noise power calibrates against a signal power of 1.
 """
 from __future__ import annotations
 
@@ -19,16 +24,10 @@ from .transmitter import IqSequence
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Channel parameters for one experiment.
-
-    tap_variance defaults to 1/num_taps so the expected channel energy
-    E||h_k||^2 is one and the received signal power matches the transmit
-    power on average, which is what makes snr_db comparable across L.
-    """
+    """Channel parameters for one experiment."""
     num_taps: int
     snr_db: float
     block_len: int
-    tap_variance: float | None = None
 
     def __post_init__(self):
         if self.num_taps < 1:
@@ -39,12 +38,6 @@ class ChannelConfig:
             raise ConfigError(
                 f"block_len {self.block_len} shorter than the channel ({self.num_taps} taps)"
             )
-        if self.tap_variance is not None and not self.tap_variance > 0:
-            raise ConfigError(f"tap_variance must be positive, got {self.tap_variance}")
-
-    @property
-    def effective_tap_variance(self) -> float:
-        return self.tap_variance if self.tap_variance is not None else 1.0 / self.num_taps
 
 
 @dataclass(frozen=True)
@@ -54,7 +47,8 @@ class ChannelRealization:
     noise_var: float
 
     def __post_init__(self):
-        arr = np.asarray(self.taps, dtype=complex)
+        # freeze a view, so the caller's own array stays writeable
+        arr = np.asarray(self.taps, dtype=complex).view()
         arr.flags.writeable = False
         object.__setattr__(self, "taps", arr)
         if arr.ndim != 2:
@@ -67,16 +61,14 @@ class ChannelRealization:
         return self.taps.shape[0]
 
 
-def calibrate_noise(snr_db: float, signal_power: float) -> float:
-    """Noise power for a target SNR against the given signal power.
+def calibrate_noise(snr_db: float) -> float:
+    """Noise power for a target SNR against unit signal power.
 
     snr_db = +inf is allowed and yields exactly zero noise.
     """
-    if not signal_power > 0:
-        raise ConfigError(f"signal_power must be positive, got {signal_power}")
     if math.isinf(snr_db) and snr_db > 0:
         return 0.0
-    return signal_power * 10.0 ** (-snr_db / 10.0)
+    return 10.0 ** (-snr_db / 10.0)
 
 
 def draw_realization(cfg: ChannelConfig, num_blocks: int, seed) -> ChannelRealization:
@@ -84,11 +76,10 @@ def draw_realization(cfg: ChannelConfig, num_blocks: int, seed) -> ChannelRealiz
     if num_blocks < 1:
         raise ConfigError(f"num_blocks must be >= 1, got {num_blocks}")
     rng = np.random.default_rng(seed)
-    sigma = math.sqrt(cfg.effective_tap_variance / 2.0)
+    sigma = math.sqrt(1.0 / cfg.num_taps / 2.0)
     shape = (num_blocks, cfg.num_taps)
     taps = sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    # Transmit power is 1 by construction, so SNR calibrates against 1.0.
-    return ChannelRealization(taps=taps, noise_var=calibrate_noise(cfg.snr_db, 1.0))
+    return ChannelRealization(taps=taps, noise_var=calibrate_noise(cfg.snr_db))
 
 
 def apply_block_channel(s: IqSequence, real: ChannelRealization, noise_seed=None) -> IqSequence:
@@ -133,5 +124,4 @@ def apply_block_channel(s: IqSequence, real: ChannelRealization, noise_seed=None
         sigma = math.sqrt(real.noise_var / 2.0)
         out = out + sigma * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
 
-    meta = s.meta if isinstance(s, IqSequence) else None
-    return IqSequence(samples=out, meta=meta)
+    return IqSequence(samples=out)

@@ -33,9 +33,10 @@ covariance is averaged over fewer columns, wins by spread alone: on a
 range holding a multiple of N+P, which loses 2d or more ranks, the
 unnormalized quotient picks the multiple. The candidate with the smallest
 floor_ratio wins, ties going to the smallest N', and the estimate is
-N = N' - P. Every quotient is scale invariant. For L > P the rank theorem
-predicts no missing rank, so nothing is scored and the scan reports an
-ambiguous result.
+N = N' - P. Every quotient is scale invariant, over the floating-point
+range that estimate_n states. For L > P the rank theorem predicts no
+missing rank, so nothing is scored and the scan reports an ambiguous
+result.
 
 The floor ratio is the only statistic the scan computes per candidate.
 The winner alone is then cross-checked by the MDL curve of its spectrum.
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .numerics import EIG_FLOOR, hermitian_eigenvalues, numerical_rank
+from .numerics import hermitian_eigenvalues, numerical_rank
 from .transmitter import IqSequence
 
 # Eigenvalues are floored at this fraction of the largest one before any
@@ -74,6 +75,11 @@ from .transmitter import IqSequence
 # argmin away from the true split; a relative floor flattens them and
 # keeps the criterion exactly scale invariant.
 MDL_REL_FLOOR = 1e-12
+
+# Absolute floor under the relative one, so an all-zero spectrum still
+# has a logarithm. The smallest normal float: any larger value would take
+# over from the relative floor on faint but otherwise valid captures.
+EIG_FLOOR = np.finfo(float).tiny
 
 DUPLICATE_ROW_TOL = 1e-10
 
@@ -255,7 +261,14 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     misses N' + L - 1 - P. For L > P the rank theorem predicts no missing
     rank: nothing is scored, the smallest candidate is reported, and the
     result is ambiguous. A stream too short for the largest candidate, or
-    holding a NaN or infinite sample, raises DataError.
+    one whose energy sum |x|^2 is not finite (a NaN or infinite sample,
+    or samples so large that the sum overflows), raises DataError.
+
+    The decision does not depend on the stream's scale while the energy
+    stays finite and 1e-12 of the largest eigenvalue stays above the
+    smallest normal float, where the relative eigenvalue floor hands over
+    to EIG_FLOOR. For a capture of about unit power that is every scale
+    factor from about 1e-150 to 1e150.
     """
     x = _samples(r)
     worst = cfg.candidates[-1]
@@ -263,8 +276,8 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
         raise DataError(
             f"candidate N'={worst} needs {worst * worst} samples, got {len(x)}"
         )
-    if not np.isfinite(x).all():
-        raise DataError("the stream holds NaN or infinite samples")
+    if not np.isfinite(np.vdot(x, x).real):
+        raise DataError("the stream holds NaN or infinite samples, or its energy overflows")
     missing = cfg.cp_len - cfg.num_taps + 1
     ratios, spectra = {}, {}
     for n_prime in cfg.candidates:
@@ -287,9 +300,9 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     )
 
 
-def rank_oracle_noise_free(r, n_prime: int, rel_tol: float = 1e-9) -> int:
+def rank_oracle_noise_free(r, n_prime: int) -> int:
     """Numerical rank of the segmentation matrix; noise-free test oracle."""
-    return numerical_rank(segment(r, n_prime), rel_tol=rel_tol)
+    return numerical_rank(segment(r, n_prime))
 
 
 def duplicate_row_pairs(r, n: int, p: int, l: int) -> list:
@@ -298,7 +311,10 @@ def duplicate_row_pairs(r, n: int, p: int, l: int) -> list:
     Returns the pairs that actually coincide within DUPLICATE_ROW_TOL
     across all columns but the first; the stream's very first segment has
     no predecessor, and its low rows are not covered by the derivation.
+    L outside 1..P raises ConfigError.
     """
+    if not 1 <= l <= p:
+        raise ConfigError(f"need 1 <= L <= P, got L={l}, P={p}")
     seg = segment(r, n + p)
     pairs = []
     for i in range(l, p + 1):
@@ -307,10 +323,3 @@ def duplicate_row_pairs(r, n: int, p: int, l: int) -> list:
         if np.max(np.abs(a - b)) <= DUPLICATE_ROW_TOL * max(1.0, np.max(np.abs(a))):
             pairs.append((i, i + n))
     return pairs
-
-
-def duplicate_row_check(r, n: int, p: int, l: int) -> bool:
-    """True iff every expected duplicate pair (i, i+N), i = L..P, holds."""
-    if not 1 <= l <= p:
-        raise ConfigError(f"need 1 <= L <= P, got L={l}, P={p}")
-    return len(duplicate_row_pairs(r, n, p, l)) == p - l + 1

@@ -65,18 +65,16 @@ class OfdmConfig:
 
 @dataclass(frozen=True)
 class IqSequence:
-    """A complex baseband stream, optionally tagged with its generating config."""
+    """A complex baseband stream; `samples` is a read-only complex view.
+
+    Only the view is frozen: an array the caller passes in stays writeable.
+    """
     samples: np.ndarray
-    meta: OfdmConfig | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=complex)
+        arr = np.asarray(self.samples, dtype=complex).view()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        if self.meta is not None and len(arr) != self.meta.stream_len:
-            raise ConfigError(
-                f"stream length {len(arr)} does not match config ({self.meta.stream_len})"
-            )
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -143,11 +141,6 @@ def build_cp_block(freq_block: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
     return np.vstack([time_block[n - p:, :], time_block])
 
 
-def serialize_block(cp_block: np.ndarray) -> np.ndarray:
-    """Stack the columns of a CP block into one vector (vec operator)."""
-    return np.asarray(cp_block, dtype=complex).ravel(order="F")
-
-
 def generate_stream(cfg: OfdmConfig, seed) -> IqSequence:
     """Generate the full K-block transmit stream from a seeded RNG.
 
@@ -160,8 +153,9 @@ def generate_stream(cfg: OfdmConfig, seed) -> IqSequence:
     blocks = []
     for _ in range(cfg.num_blocks):
         idx = rng.integers(0, cfg.mod_order, size=(cfg.n_subcarriers, cfg.symbols_per_block))
-        blocks.append(serialize_block(build_cp_block(points[idx], cfg)))
-    return IqSequence(samples=np.concatenate(blocks), meta=cfg)
+        # column by column: symbol after symbol
+        blocks.append(build_cp_block(points[idx], cfg).ravel(order="F"))
+    return IqSequence(samples=np.concatenate(blocks))
 
 
 # --- raw IQ file format -------------------------------------------------
@@ -189,21 +183,6 @@ def write_meta_file(path, fields: dict) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for key, value in fields.items():
             fh.write(f"{key}={value}\n")
-
-
-def read_meta_file(path) -> dict:
-    """Parse a key=value sidecar; values stay strings, callers convert."""
-    fields = {}
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}: malformed sidecar line {line!r}")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    return fields
 
 
 def meta_fields(cfg: OfdmConfig, seed) -> dict:

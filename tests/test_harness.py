@@ -1,4 +1,7 @@
 """Tests for the Monte Carlo sweep engine, presets, and CSV output."""
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -213,6 +216,16 @@ class TestEmitCsv:
         result = run_sweep(small_spec(trials=1))
         with pytest.raises(DataError):
             emit_csv(result, tmp_path / "missing" / "out.csv")
+
+    def test_desk_fig2_decisions_pinned(self, tmp_path):
+        # 120 desk fig2 trials, the benchmark's desk reference CSV. A change
+        # that alters decisions by design updates this digest and records
+        # the old and the new one.
+        out = tmp_path / "fig2.csv"
+        emit_csv(run_sweep(replace(load_preset("fig2"), trials=20)), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "bc26b745ccfe090b0873e1ebb158351b57831b7099051362ae83e0639540bb92"
+        )
 
 
 class TestSpecFiles:
