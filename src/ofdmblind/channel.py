@@ -27,17 +27,12 @@ class ChannelConfig:
     """Channel parameters for one experiment."""
     num_taps: int
     snr_db: float
-    block_len: int
 
     def __post_init__(self):
         if self.num_taps < 1:
             raise ConfigError(f"num_taps must be >= 1, got {self.num_taps}")
         if math.isnan(self.snr_db):
             raise ConfigError("snr_db must be a number or inf, got nan")
-        if self.block_len < self.num_taps:
-            raise ConfigError(
-                f"block_len {self.block_len} shorter than the channel ({self.num_taps} taps)"
-            )
 
 
 @dataclass(frozen=True)

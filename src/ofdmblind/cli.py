@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .channel import ChannelConfig, apply_block_channel, draw_realization
+from .channel import ChannelConfig
 from .errors import ConfigError, DataError
 from .estimator import (
     EstimatorConfig,
@@ -22,10 +23,9 @@ from .estimator import (
     mdl,
     rank_oracle_noise_free,
 )
-from .harness import PRESET_NAMES, emit_csv, load_preset, load_spec_file, run_sweep
+from .harness import PRESET_NAMES, emit_csv, load_preset, load_spec_file, run_sweep, simulate
 from .transmitter import (
     OfdmConfig,
-    generate_stream,
     meta_fields,
     read_iq_file,
     write_iq_file,
@@ -92,12 +92,7 @@ def cmd_generate(args) -> int:
         num_blocks=args.blocks,
         mod_order=args.mod,
     )
-    chan = ChannelConfig(num_taps=args.taps, snr_db=args.snr_db, block_len=cfg.block_len)
-    ss = np.random.SeedSequence(args.seed)
-    data_ss, chan_ss, noise_ss = ss.spawn(3)
-    stream = generate_stream(cfg, data_ss)
-    real = draw_realization(chan, cfg.num_blocks, chan_ss)
-    received = apply_block_channel(stream, real, noise_ss if real.noise_var > 0 else None)
+    received = simulate(cfg, ChannelConfig(num_taps=args.taps, snr_db=args.snr_db), args.seed)
     count = write_iq_file(args.out, received.samples)
     fields = meta_fields(cfg, args.seed)
     fields["num_taps"] = args.taps
@@ -147,9 +142,6 @@ def cmd_sweep(args) -> int:
     else:
         spec = load_preset(args.preset, scale=args.scale)
     if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {args.trials}")
-        from dataclasses import replace
         spec = replace(spec, trials=args.trials)
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
@@ -170,12 +162,7 @@ def cmd_rank_check(args) -> int:
         symbols_per_block=args.symbols,
         num_blocks=args.blocks,
     )
-    chan = ChannelConfig(num_taps=args.taps, snr_db=float("inf"), block_len=cfg.block_len)
-    ss = np.random.SeedSequence(args.seed)
-    data_ss, chan_ss = ss.spawn(2)
-    received = apply_block_channel(
-        generate_stream(cfg, data_ss), draw_realization(chan, cfg.num_blocks, chan_ss)
-    )
+    received = simulate(cfg, ChannelConfig(num_taps=args.taps, snr_db=float("inf")), args.seed)
     n_star = cfg.n_subcarriers + cfg.cp_len
     rank = rank_oracle_noise_free(received, n_star)
     expected = cfg.n_subcarriers + args.taps - 1

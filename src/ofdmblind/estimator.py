@@ -35,27 +35,20 @@ unnormalized quotient picks the multiple. The candidate with the smallest
 floor_ratio wins, ties going to the smallest N', and the estimate is
 N = N' - P. Every quotient is scale invariant, over the floating-point
 range that estimate_n states. For L > P the rank theorem predicts no
-missing rank, so nothing is scored and the scan reports an ambiguous
-result.
+missing rank, so nothing is scored and the smallest candidate is
+reported.
 
-The floor ratio is the only statistic the scan computes per candidate.
-The winner alone is then cross-checked by the MDL curve of its spectrum.
-For a split point zeta (number of "signal" eigenvalues), the residual
-lambda_{zeta+1} .. lambda_{N'} is scored by how far its geometric mean
-falls below its arithmetic mean, a gap that vanishes only when the
-residuals are flat:
+The floor ratio is the only statistic the scan computes. The MDL curve
+of a spectrum,
 
     MDL(zeta; N') = -(N' - zeta) * M' * ln(GM/AM) + 0.5 * zeta * (2N' - zeta) * ln(M')
 
-evaluated for zeta = 1..N'-1; the degenerate split zeta = N' has an
-empty residual and is scored by its penalty alone. At the correct
-segmentation the minimizing zeta should sit at the signal-subspace
-dimension N+L-1. The curve confirms the winner when its miss
-|zeta_hat - (N' + L - 1 - P)| is zero; it does not decide, and the
-scan reports an ambiguous result when it does not confirm. With few
-segments the penalty, about N' ln M' per signal eigenvalue, outweighs the
-likelihood gap that d noise eigenvalues among N' leave, and the argmin
-collapses far below N+L-1 even at the true N'.
+with GM and AM the geometric and arithmetic means of the residual
+lambda_{zeta+1} .. lambda_{N'}, is kept as a diagnostic for the
+per-candidate table of `ofdmblind estimate --report`. It does not
+decide: with few segments its penalty outweighs the likelihood gap that
+d noise eigenvalues among N' leave, and its argmin collapses far below
+the signal-subspace dimension N+L-1 even at the true N'.
 """
 from __future__ import annotations
 
@@ -115,7 +108,6 @@ class EstimatorConfig:
 @dataclass(frozen=True)
 class MdlCurve:
     """MDL values over zeta = 1..N' of one spectrum, and their argmin zeta_hat."""
-    n_prime: int
     values: np.ndarray
     zeta_hat: int
 
@@ -124,24 +116,16 @@ class MdlCurve:
 class EstimateReport:
     """Outcome of the candidate scan.
 
-    `floor_ratios` maps every candidate N', in scan order, to the
-    floor_ratio that ranked it; it is empty when L > P, where nothing is
-    scored. `eigen_spectra` maps every candidate N' to the descending
-    eigenvalues of its covariance, so any per-candidate statistic, the
-    MDL curve included, can be recomputed with M' = len(stream) // N'.
-
-    `ambiguous` is set when the MDL curve of the chosen candidate does not
-    confirm it, that is when its miss is nonzero, and always when L > P.
-    It marks a decision that only the floor ratio supports. A pick on a
-    range without the true N' looks like that, but so does a right pick at
-    moderate SNR, where the MDL split collapses even at the true N'. For
-    L > P no candidate is scored and n_hat is the smallest candidate minus
-    P, which carries no information.
+    `n_hat` is the winning N' minus P. `floor_ratios` maps every
+    candidate N', in scan order, to the floor_ratio that ranked it; it is
+    empty when L > P, where nothing is scored and n_hat is the smallest
+    candidate minus P, which carries no information. `eigen_spectra` maps
+    every candidate N' to the descending eigenvalues of its covariance, so
+    any per-candidate statistic, the MDL curve included, can be recomputed
+    with M' = len(stream) // N'.
     """
     n_hat: int
-    chosen_n_prime: int
     floor_ratios: dict
-    ambiguous: bool
     eigen_spectra: dict
 
 
@@ -246,7 +230,7 @@ def mdl(spectrum, m_prime: int) -> MdlCurve:
     values[:-1] = -count * m_prime * (log_gm - log_am) + 0.5 * zeta * (2 * n - zeta) * log_m
     # zeta = N' leaves no residual; only the penalty remains.
     values[-1] = 0.5 * n * n * log_m
-    return MdlCurve(n_prime=n, values=values, zeta_hat=int(np.argmin(values)) + 1)
+    return MdlCurve(values=values, zeta_hat=int(np.argmin(values)) + 1)
 
 
 def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
@@ -256,11 +240,9 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     and the descending spectrum scored by floor_ratio alone; every ratio
     and spectrum is returned in the report. The candidate whose P - L + 1
     smallest eigenvalues hold the least energy wins, ties going to the
-    smallest N'; the reported estimate is N' - P. Only the winner's
-    spectrum is read by mdl, and the result is ambiguous when its split
-    misses N' + L - 1 - P. For L > P the rank theorem predicts no missing
-    rank: nothing is scored, the smallest candidate is reported, and the
-    result is ambiguous. A stream too short for the largest candidate, or
+    smallest N'; the reported estimate is N' - P. For L > P the rank
+    theorem predicts no missing rank: nothing is scored and the smallest
+    candidate is reported. A stream too short for the largest candidate, or
     one whose energy sum |x|^2 is not finite (a NaN or infinite sample,
     or samples so large that the sum overflows), raises DataError.
 
@@ -286,18 +268,9 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
         if missing > 0:
             ratios[n_prime] = floor_ratio(lam, seg.shape[1], missing)
         spectra[n_prime] = lam
-    best, ambiguous = cfg.candidates[0], True
-    if missing > 0:
-        # the first minimum in scan order, so ties go to the smallest N'
-        best = min(ratios, key=ratios.get)
-        ambiguous = mdl(spectra[best], len(x) // best).zeta_hat != best - missing
-    return EstimateReport(
-        n_hat=best - cfg.cp_len,
-        chosen_n_prime=best,
-        floor_ratios=ratios,
-        ambiguous=ambiguous,
-        eigen_spectra=spectra,
-    )
+    # the first minimum in scan order, so ties go to the smallest N'
+    best = min(ratios, key=ratios.get, default=cfg.candidates[0])
+    return EstimateReport(n_hat=best - cfg.cp_len, floor_ratios=ratios, eigen_spectra=spectra)
 
 
 def rank_oracle_noise_free(r, n_prime: int) -> int:

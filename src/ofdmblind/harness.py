@@ -20,7 +20,7 @@ import numpy as np
 from .channel import ChannelConfig, apply_block_channel, draw_realization
 from .errors import ConfigError, DataError
 from .estimator import EstimatorConfig, estimate_n
-from .transmitter import OfdmConfig, generate_stream
+from .transmitter import IqSequence, OfdmConfig, generate_stream
 
 AXES = ("snr_db", "num_taps", "n_subcarriers", "mod_order", "cp_len")
 
@@ -53,9 +53,14 @@ class SweepSpec:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         for value in self.axis_values:
             try:
-                ofdm, _, est = point_configs(self, value)
+                ofdm, chan, est = point_configs(self, value)
             except ConfigError as err:
                 raise ConfigError(f"axis point {self.axis}={value}: {err}") from None
+            if chan.num_taps > ofdm.block_len:
+                raise ConfigError(
+                    f"axis point {self.axis}={value}: channel ({chan.num_taps} taps) "
+                    f"longer than one block ({ofdm.block_len} samples)"
+                )
             worst = est.candidates[-1]
             if ofdm.stream_len < worst * worst:
                 raise ConfigError(
@@ -95,27 +100,30 @@ def point_configs(spec: SweepSpec, axis_value):
     else:
         cp_len = int(axis_value)
         ofdm = replace(ofdm, cp_len=cp_len)
-    chan = ChannelConfig(num_taps=num_taps, snr_db=snr_db, block_len=ofdm.block_len)
+    chan = ChannelConfig(num_taps=num_taps, snr_db=snr_db)
     est = EstimatorConfig(
         cp_len=cp_len, num_taps=num_taps, n_min=spec.n_min, n_max=spec.n_max
     )
     return ofdm, chan, est
 
 
-def run_trial(ofdm_cfg: OfdmConfig, chan_cfg: ChannelConfig,
-              est_cfg: EstimatorConfig, trial_seed) -> bool:
-    """One generate/channel/estimate round; True iff N was recovered.
+def simulate(ofdm_cfg: OfdmConfig, chan_cfg: ChannelConfig, seed) -> IqSequence:
+    """The received stream of one transmission through the channel.
 
-    trial_seed is any SeedSequence entropy (int or tuple of ints); data,
+    seed is any SeedSequence entropy (int or tuple of ints); data,
     channel and noise each get their own child stream so holding one
     fixed while varying the others stays possible.
     """
-    ss = np.random.SeedSequence(trial_seed)
-    data_ss, chan_ss, noise_ss = ss.spawn(3)
+    data_ss, chan_ss, noise_ss = np.random.SeedSequence(seed).spawn(3)
     s = generate_stream(ofdm_cfg, data_ss)
     real = draw_realization(chan_cfg, ofdm_cfg.num_blocks, chan_ss)
-    r = apply_block_channel(s, real, noise_ss if real.noise_var > 0 else None)
-    report = estimate_n(r, est_cfg)
+    return apply_block_channel(s, real, noise_ss if real.noise_var > 0 else None)
+
+
+def run_trial(ofdm_cfg: OfdmConfig, chan_cfg: ChannelConfig,
+              est_cfg: EstimatorConfig, trial_seed) -> bool:
+    """One generate/channel/estimate round; True iff N was recovered."""
+    report = estimate_n(simulate(ofdm_cfg, chan_cfg, trial_seed), est_cfg)
     return report.n_hat == ofdm_cfg.n_subcarriers
 
 

@@ -38,7 +38,7 @@ def verdict(num, ok, detail):
 def noise_free(n, p, l, m, k, data_seed, chan_seed):
     cfg = OfdmConfig(n_subcarriers=n, cp_len=p, symbols_per_block=m, num_blocks=k)
     s = generate_stream(cfg, data_seed)
-    chan = ChannelConfig(num_taps=l, snr_db=float("inf"), block_len=cfg.block_len)
+    chan = ChannelConfig(num_taps=l, snr_db=float("inf"))
     return apply_block_channel(s, draw_realization(chan, k, chan_seed))
 
 
@@ -117,7 +117,7 @@ def test_c04_noise_floor_convergence():
     means = {200: [], 2000: []}
     for m, acc in means.items():
         cfg = OfdmConfig(n_subcarriers=16, cp_len=4, symbols_per_block=m, num_blocks=2)
-        chan = ChannelConfig(num_taps=2, snr_db=10.0, block_len=cfg.block_len)
+        chan = ChannelConfig(num_taps=2, snr_db=10.0)
         for seed in range(20):
             s = generate_stream(cfg, (40, m, seed))
             real = draw_realization(chan, 2, (41, m, seed))

@@ -35,13 +35,12 @@ def toeplitz_pair(taps, t):
 
 class TestChannelConfig:
     def test_default_tap_variance_is_one_over_taps(self):
-        cfg = ChannelConfig(num_taps=4, snr_db=10.0, block_len=100)
+        cfg = ChannelConfig(num_taps=4, snr_db=10.0)
         taps = draw_realization(cfg, 4000, seed=5).taps
         assert np.mean(np.abs(taps) ** 2, axis=0) == pytest.approx([0.25] * 4, rel=0.05)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(num_taps=0, snr_db=0.0, block_len=10),
-        dict(num_taps=11, snr_db=0.0, block_len=10),
+        dict(num_taps=0, snr_db=0.0),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -50,7 +49,7 @@ class TestChannelConfig:
     def test_nan_snr_rejected(self):
         # a NaN SNR would calibrate to NaN noise power and pass as noise-free
         with pytest.raises(ConfigError, match="nan"):
-            ChannelConfig(num_taps=2, snr_db=float("nan"), block_len=10)
+            ChannelConfig(num_taps=2, snr_db=float("nan"))
 
 
 class TestCalibrateNoise:
@@ -69,33 +68,33 @@ class TestCalibrateNoise:
 
 class TestDrawRealization:
     def test_shape_and_noise_var(self):
-        cfg = ChannelConfig(num_taps=3, snr_db=20.0, block_len=50)
+        cfg = ChannelConfig(num_taps=3, snr_db=20.0)
         real = draw_realization(cfg, num_blocks=4, seed=0)
         assert real.taps.shape == (4, 3)
         assert real.num_blocks == 4
         assert real.noise_var == pytest.approx(0.01)
 
     def test_deterministic(self):
-        cfg = ChannelConfig(num_taps=2, snr_db=0.0, block_len=50)
+        cfg = ChannelConfig(num_taps=2, snr_db=0.0)
         a = draw_realization(cfg, 3, seed=42)
         b = draw_realization(cfg, 3, seed=42)
         assert np.array_equal(a.taps, b.taps)
 
     def test_blocks_differ(self):
-        cfg = ChannelConfig(num_taps=2, snr_db=0.0, block_len=50)
+        cfg = ChannelConfig(num_taps=2, snr_db=0.0)
         real = draw_realization(cfg, 2, seed=1)
         assert not np.array_equal(real.taps[0], real.taps[1])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_unit_mean_channel_energy(self, seed):
         # E||h_k||^2 = L * (1/L) = 1 under the default tap variance
-        cfg = ChannelConfig(num_taps=4, snr_db=0.0, block_len=50)
+        cfg = ChannelConfig(num_taps=4, snr_db=0.0)
         real = draw_realization(cfg, 2000, seed=seed)
         energies = np.sum(np.abs(real.taps) ** 2, axis=1)
         assert np.mean(energies) == pytest.approx(1.0, abs=0.05)
 
     def test_zero_blocks_rejected(self):
-        cfg = ChannelConfig(num_taps=2, snr_db=0.0, block_len=50)
+        cfg = ChannelConfig(num_taps=2, snr_db=0.0)
         with pytest.raises(ConfigError):
             draw_realization(cfg, 0, seed=0)
 

@@ -31,7 +31,7 @@ def faded_stream(n, p, l, m, k, seed, mod=4):
     cfg = OfdmConfig(n_subcarriers=n, cp_len=p, symbols_per_block=m,
                      num_blocks=k, mod_order=mod)
     seq = generate_stream(cfg, seed)
-    chan = ChannelConfig(num_taps=l, snr_db=float("inf"), block_len=cfg.block_len)
+    chan = ChannelConfig(num_taps=l, snr_db=float("inf"))
     real = draw_realization(chan, k, seed + 1000)
     return apply_block_channel(seq, real)
 
@@ -39,7 +39,7 @@ def faded_stream(n, p, l, m, k, seed, mod=4):
 def noisy_stream(n, p, l, m, k, seed, snr_db):
     """CP-OFDM stream through a random L-tap channel plus calibrated noise."""
     cfg = OfdmConfig(n_subcarriers=n, cp_len=p, symbols_per_block=m, num_blocks=k)
-    chan = ChannelConfig(num_taps=l, snr_db=snr_db, block_len=cfg.block_len)
+    chan = ChannelConfig(num_taps=l, snr_db=snr_db)
     real = draw_realization(chan, k, seed + 1000)
     return apply_block_channel(generate_stream(cfg, seed), real, noise_seed=seed + 2000)
 
@@ -272,8 +272,6 @@ class TestEstimateN:
         cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=16)
         report = estimate_n(r, cfg)
         assert report.n_hat == 8
-        assert report.chosen_n_prime == 11
-        assert not report.ambiguous
         # the winner's MDL split lands on N + L - 1, a miss of zero
         assert mdl(report.eigen_spectra[11], len(r) // 11).zeta_hat == 9
 
@@ -281,7 +279,7 @@ class TestEstimateN:
         wins = 0
         trials = 100
         cfg = OfdmConfig(n_subcarriers=32, cp_len=7, symbols_per_block=100, num_blocks=2)
-        chan = ChannelConfig(num_taps=6, snr_db=30.0, block_len=cfg.block_len)
+        chan = ChannelConfig(num_taps=6, snr_db=30.0)
         est = EstimatorConfig(cp_len=7, num_taps=6, n_min=24, n_max=40)
         for trial in range(trials):
             streams = np.random.SeedSequence((4242, trial)).spawn(3)
@@ -308,7 +306,6 @@ class TestEstimateN:
         assert mdl(report.eigen_spectra[39], len(r) // 39).zeta_hat == 1
         assert min(misses, key=lambda n_prime: (misses[n_prime], n_prime)) == 23
         assert report.n_hat == 32
-        assert report.ambiguous
 
     def test_multiple_of_symbol_length_loses(self):
         # N'=22 and 33 hold whole symbols and lose 2 and 3 ranks each
@@ -325,24 +322,15 @@ class TestEstimateN:
         assert list(b.floor_ratios) == list(a.floor_ratios)
         assert list(b.floor_ratios.values()) == pytest.approx(list(a.floor_ratios.values()))
 
-    def test_channel_longer_than_cp_is_ambiguous(self):
-        # L > P: no rank is missing anywhere, so nothing is scored
+    def test_channel_longer_than_cp_scores_nothing(self):
+        # L > P: no rank is missing anywhere, so the smallest candidate is
+        # reported unscored
         r = noisy_stream(8, 3, 5, m=60, k=2, seed=2, snr_db=30.0)
         cfg = EstimatorConfig(cp_len=3, num_taps=5, n_min=4, n_max=16)
         report = estimate_n(r, cfg)
-        assert report.ambiguous
-        assert report.chosen_n_prime == cfg.candidates[0]
+        assert report.n_hat == cfg.n_min
         assert report.floor_ratios == {}
         assert set(report.eigen_spectra) == set(cfg.candidates)
-
-    def test_range_without_truth_is_ambiguous(self):
-        r = faded_stream(8, 3, 2, m=120, k=2, seed=3)
-        cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=16, n_max=32)
-        report = estimate_n(r, cfg)
-        assert report.ambiguous
-        missing = cfg.cp_len - cfg.num_taps + 1
-        for n_prime, lam in report.eigen_spectra.items():
-            assert mdl(lam, len(r) // n_prime).zeta_hat != n_prime - missing
 
     def test_pure_function_of_inputs(self):
         r = faded_stream(4, 2, 2, m=20, k=2, seed=4)
@@ -360,7 +348,6 @@ class TestEstimateN:
         report = estimate_n(r, cfg)
         assert list(report.floor_ratios) == list(cfg.candidates)
         assert list(report.eigen_spectra) == list(cfg.candidates)
-        assert report.n_hat == report.chosen_n_prime - cfg.cp_len
 
     def test_insufficient_data_names_worst_candidate(self):
         cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=16)
@@ -399,25 +386,14 @@ class TestEstimateN:
             estimate_n(1e160 * x, est)
 
     @pytest.mark.parametrize("taps", [2, 5], ids=["scored", "taps-beyond-cp"])
-    def test_mdl_read_at_most_once(self, monkeypatch, taps):
-        # the floor ratio alone ranks the candidates; MDL is read only at
-        # the winner, and not at all when L > P leaves nothing to score
+    def test_mdl_never_called(self, monkeypatch, taps):
+        # the floor ratio alone decides; MDL is only a diagnostic
         calls = []
-        real_mdl = estimator.mdl
-
-        def counted_mdl(spectrum, m_prime):
-            calls.append((spectrum, m_prime))
-            return real_mdl(spectrum, m_prime)
-
-        monkeypatch.setattr(estimator, "mdl", counted_mdl)
+        monkeypatch.setattr(estimator, "mdl", lambda *args: calls.append(args))
         r = noisy_stream(8, 3, taps, m=30, k=2, seed=9, snr_db=20.0)
         cfg = EstimatorConfig(cp_len=3, num_taps=taps, n_min=4, n_max=12)
-        report = estimate_n(r, cfg)
-        if taps <= cfg.cp_len:
-            assert len(calls) == 1
-            assert calls[0][0] is report.eigen_spectra[report.chosen_n_prime]
-        else:
-            assert calls == []
+        estimate_n(r, cfg)
+        assert calls == []
 
     def test_spectra_kept_on_request(self):
         r = faded_stream(4, 2, 2, m=20, k=2, seed=6)
@@ -439,9 +415,7 @@ class TestEstimateN:
             assert np.all(np.diff(lam) <= 0)
             assert floor_ratio(lam, len(x) // n_prime, missing) == ratio
         best = min(report.floor_ratios, key=report.floor_ratios.get)
-        assert best == report.chosen_n_prime
-        zeta_hat = mdl(report.eigen_spectra[best], len(x) // best).zeta_hat
-        assert report.ambiguous == (zeta_hat != best - missing)
+        assert report.n_hat == best - cfg.cp_len
 
 
 class TestDuplicateRows:

@@ -82,6 +82,13 @@ class TestSweepSpec:
             small_spec(axis="n_subcarriers", axis_values=(8, 4), n_max=15)
         assert small_spec(axis="n_subcarriers", axis_values=(8, 4)).n_max == 12
 
+    def test_channel_longer_than_block_rejected(self):
+        # T = 3 samples per block against 4 taps, while the stream's 300
+        # samples fill the only candidate N'=3, which needs 9
+        ofdm = OfdmConfig(n_subcarriers=2, cp_len=1, symbols_per_block=1, num_blocks=100)
+        with pytest.raises(ConfigError, match=r"snr_db=0.0: channel \(4 taps\) longer than one"):
+            small_spec(ofdm=ofdm, num_taps=4, n_min=2, n_max=2)
+
 
 class TestPointConfigs:
     def test_snr_axis_only_touches_noise(self):
@@ -99,9 +106,9 @@ class TestPointConfigs:
 
     def test_subcarrier_axis_resizes_blocks(self):
         spec = small_spec(axis="n_subcarriers", axis_values=(8, 16))
-        ofdm, chan, _ = point_configs(spec, 16)
+        ofdm, _, _ = point_configs(spec, 16)
         assert ofdm.n_subcarriers == 16
-        assert chan.block_len == ofdm.block_len == 20 * 19
+        assert ofdm.block_len == 20 * 19
 
     def test_mod_axis(self):
         spec = small_spec(axis="mod_order", axis_values=(4, 64))
@@ -225,6 +232,15 @@ class TestEmitCsv:
         emit_csv(run_sweep(replace(load_preset("fig2"), trials=20)), out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "bc26b745ccfe090b0873e1ebb158351b57831b7099051362ae83e0639540bb92"
+        )
+
+    def test_paper_fig2_decisions_pinned(self, tmp_path):
+        # 12 fig2.paper trials (N=64, M=500, K=5), the benchmark's paper
+        # reference CSV; updated the same way as the desk digest
+        out = tmp_path / "fig2.paper.csv"
+        emit_csv(run_sweep(replace(load_preset("fig2", "paper"), trials=2)), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4a2c2ba20ff1acb981e9e68ea8b26fb34be5ecf680a5b4a0a6f1f5632aa60f39"
         )
 
 

@@ -32,7 +32,7 @@ def received(n, p, l, seed, snr_db=float("inf")):
     """Two fading blocks, each long enough for 2(N+P) segments of 2(N+P)."""
     cfg = OfdmConfig(n_subcarriers=n, cp_len=p, symbols_per_block=4 * (n + p),
                      num_blocks=2)
-    chan = ChannelConfig(num_taps=l, snr_db=snr_db, block_len=cfg.block_len)
+    chan = ChannelConfig(num_taps=l, snr_db=snr_db)
     data_ss, chan_ss, noise_ss = np.random.SeedSequence(seed).spawn(3)
     real = draw_realization(chan, cfg.num_blocks, chan_ss)
     noise = noise_ss if real.noise_var > 0 else None
