@@ -61,8 +61,6 @@ def calibrate_noise(snr_db: float) -> float:
 
     snr_db = +inf is allowed and yields exactly zero noise.
     """
-    if math.isinf(snr_db) and snr_db > 0:
-        return 0.0
     return 10.0 ** (-snr_db / 10.0)
 
 

@@ -33,10 +33,10 @@ covariance is averaged over fewer columns, wins by spread alone: on a
 range holding a multiple of N+P, which loses 2d or more ranks, the
 unnormalized quotient picks the multiple. The candidate with the smallest
 floor_ratio wins, ties going to the smallest N', and the estimate is
-N = N' - P. Every quotient is scale invariant, over the floating-point
-range that estimate_n states. For L > P the rank theorem predicts no
-missing rank, so nothing is scored and the smallest candidate is
-reported.
+N = N' - P. Every quotient is scale invariant, and estimate_n keeps it
+so over the whole floating-point range by scanning the stream rescaled
+by a power of two. For L > P the rank theorem predicts no missing rank,
+so nothing is scored and the smallest candidate is reported.
 
 The floor ratio is the only statistic the scan computes. The MDL curve
 of a spectrum,
@@ -58,7 +58,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .numerics import hermitian_eigenvalues, numerical_rank
 from .transmitter import IqSequence
 
 # Eigenvalues are floored at this fraction of the largest one before any
@@ -75,6 +74,9 @@ MDL_REL_FLOOR = 1e-12
 EIG_FLOOR = np.finfo(float).tiny
 
 DUPLICATE_ROW_TOL = 1e-10
+
+# Relative threshold for the numerical rank of the rank oracle.
+RANK_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,9 @@ class EstimateReport:
     candidate minus P, which carries no information. `eigen_spectra` maps
     every candidate N' to the descending eigenvalues of its covariance, so
     any per-candidate statistic, the MDL curve included, can be recomputed
-    with M' = len(stream) // N'.
+    with M' = len(stream) // N'. The spectra are in the stream's units, so
+    for samples above about 1e154 they overflow to inf (numpy warns);
+    n_hat and floor_ratios, computed on the rescaled stream, still hold.
     """
     n_hat: int
     floor_ratios: dict
@@ -184,6 +188,22 @@ def covariance(seg: np.ndarray) -> np.ndarray:
     return c
 
 
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a square Hermitian matrix, as a descending float array.
+
+    A matrix that is not square raises ConfigError. Hermitian symmetry is
+    the caller's guarantee and is not checked: only the lower triangle is
+    read; covariance's output is exactly Hermitian. The spectrum is
+    returned as computed, so the eigenvalue sum matches the trace; the MDL
+    criterion and the floor ratio clamp at their floor themselves.
+    Roundoff on PSD inputs can leave tiny negative values here.
+    """
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ConfigError(f"expected a square matrix, got shape {a.shape}")
+    return np.linalg.eigvalsh(a)[::-1]
+
+
 def _floored(lam: np.ndarray) -> np.ndarray:
     return np.maximum(lam, max(EIG_FLOOR, MDL_REL_FLOOR * lam[0]))
 
@@ -243,14 +263,13 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     smallest N'; the reported estimate is N' - P. For L > P the rank
     theorem predicts no missing rank: nothing is scored and the smallest
     candidate is reported. A stream too short for the largest candidate, or
-    one whose energy sum |x|^2 is not finite (a NaN or infinite sample,
-    or samples so large that the sum overflows), raises DataError.
+    one holding a NaN or infinite sample, raises DataError.
 
-    The decision does not depend on the stream's scale while the energy
-    stays finite and 1e-12 of the largest eigenvalue stays above the
-    smallest normal float, where the relative eigenvalue floor hands over
-    to EIG_FLOOR. For a capture of about unit power that is every scale
-    factor from about 1e-150 to 1e150.
+    The scan runs on the stream scaled by the power of two 2^-e that puts
+    its largest real or imaginary part in [0.5, 1); each spectrum is scaled
+    back by 2^(2e). Power-of-two scaling is exact, so the decision and the
+    floor ratios do not depend on the stream's scale over the whole float
+    range. An all-zero stream reports the smallest candidate.
     """
     x = _samples(r)
     worst = cfg.candidates[-1]
@@ -258,8 +277,11 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
         raise DataError(
             f"candidate N'={worst} needs {worst * worst} samples, got {len(x)}"
         )
-    if not np.isfinite(np.vdot(x, x).real):
-        raise DataError("the stream holds NaN or infinite samples, or its energy overflows")
+    peak = np.max(np.abs(x.view(np.float64)))
+    if not np.isfinite(peak):
+        raise DataError("the stream holds NaN or infinite samples")
+    e = math.frexp(peak)[1]
+    x = np.ldexp(x.view(np.float64), -e).view(complex)
     missing = cfg.cp_len - cfg.num_taps + 1
     ratios, spectra = {}, {}
     for n_prime in cfg.candidates:
@@ -267,15 +289,17 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
         lam = hermitian_eigenvalues(covariance(seg))
         if missing > 0:
             ratios[n_prime] = floor_ratio(lam, seg.shape[1], missing)
-        spectra[n_prime] = lam
+        spectra[n_prime] = np.ldexp(lam, 2 * e)
     # the first minimum in scan order, so ties go to the smallest N'
     best = min(ratios, key=ratios.get, default=cfg.candidates[0])
     return EstimateReport(n_hat=best - cfg.cp_len, floor_ratios=ratios, eigen_spectra=spectra)
 
 
 def rank_oracle_noise_free(r, n_prime: int) -> int:
-    """Numerical rank of the segmentation matrix; noise-free test oracle."""
-    return numerical_rank(segment(r, n_prime))
+    """Noise-free test oracle: the number of singular values of the
+    segmentation matrix above RANK_REL_TOL times the largest one."""
+    sv = np.linalg.svd(segment(r, n_prime), compute_uv=False)
+    return int(np.count_nonzero(sv > RANK_REL_TOL * sv[0]))
 
 
 def duplicate_row_pairs(r, n: int, p: int, l: int) -> list:

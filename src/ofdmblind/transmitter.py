@@ -1,10 +1,11 @@
 """CP-OFDM transmit stream synthesis.
 
-The chain is the textbook one: random bits become Gray-mapped square-QAM
-symbols, each block of M symbol vectors passes through a unitary IDFT,
-a cyclic prefix of P samples is prepended to every time-domain symbol,
-and the resulting (N+P) x M blocks are serialized column by column into
-one long baseband stream of K*T samples, T = M*(N+P).
+The chain is the textbook one: symbols are drawn uniformly from a
+Gray-ordered square-QAM table, each block of M symbol vectors passes
+through a unitary IDFT, a cyclic prefix of P samples is prepended to
+every time-domain symbol, and the resulting (N+P) x M blocks are
+serialized column by column into one long baseband stream of K*T
+samples, T = M*(N+P).
 
 Also houses the raw IQ file format used at the process boundary:
 little-endian interleaved float32 (re, im) pairs with no header, plus a
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .numerics import idft_apply
 
 SUPPORTED_MOD_ORDERS = (4, 16, 64, 256)
 
@@ -80,48 +80,33 @@ class IqSequence:
         return len(self.samples)
 
 
-def _gray_to_index(bits: np.ndarray) -> np.ndarray:
-    """Decode per-axis Gray bit rows (MSB first) to level indices."""
-    idx = np.zeros(bits.shape[0], dtype=int)
-    acc = np.zeros(bits.shape[0], dtype=int)
-    for col in range(bits.shape[1]):
-        acc ^= bits[:, col]
-        idx = (idx << 1) | acc
-    return idx
-
-
-def map_qam(bits: np.ndarray, mod_order: int) -> np.ndarray:
-    """Map a flat 0/1 array onto unit-power Gray-coded square QAM.
-
-    Each symbol consumes log2(mod_order) bits: the first half selects the
-    in-phase level, the second half the quadrature level. Within an axis
-    the bits are Gray-coded so adjacent amplitude levels differ in one
-    bit, with the all-zeros pattern on the most positive level; 4-QAM
-    therefore sends bits 00 to (1+1j)/sqrt(2). The constellation is
-    scaled to unit average power.
-    """
-    if mod_order not in SUPPORTED_MOD_ORDERS:
-        raise ConfigError(f"unsupported mod_order {mod_order}")
-    bits = np.asarray(bits, dtype=int)
-    bps = int(np.log2(mod_order))
-    if bits.ndim != 1 or len(bits) % bps != 0:
-        raise ConfigError(f"bit count {bits.shape} not divisible by {bps}")
-    half = bps // 2
-    grouped = bits.reshape(-1, bps)
-    top = (1 << half) - 1
-    i_amp = top - 2 * _gray_to_index(grouped[:, :half])
-    q_amp = top - 2 * _gray_to_index(grouped[:, half:])
-    scale = np.sqrt(2.0 * (mod_order - 1) / 3.0)
-    return (i_amp + 1j * q_amp) / scale
-
-
 def qam_constellation(mod_order: int) -> np.ndarray:
-    """All mod_order points, indexed by their bit pattern read MSB first."""
-    bps = int(np.log2(mod_order))
-    patterns = np.array(
-        [[(i >> (bps - 1 - b)) & 1 for b in range(bps)] for i in range(mod_order)]
-    )
-    return map_qam(patterns.ravel(), mod_order)
+    """All mod_order points of unit-power square QAM, Gray-ordered per axis.
+
+    The high half of index i's bits picks the in-phase level, the low half
+    the quadrature level. Adjacent levels on an axis differ in one bit, and
+    index 0 sits on the most positive level of both, so 4-QAM puts
+    (1+1j)/sqrt(2) at index 0 and (-1-1j)/sqrt(2) at index 3.
+    """
+    half = int(np.log2(mod_order)) // 2
+    side = 1 << half
+    b = np.arange(side)
+    level = np.empty(side, dtype=int)
+    # the level b steps below the top carries the Gray code of b
+    level[b ^ (b >> 1)] = side - 1 - 2 * b
+    i = np.arange(mod_order)
+    return (level[i >> half] + 1j * level[i & (side - 1)]) / np.sqrt(2.0 * (mod_order - 1) / 3.0)
+
+
+def idft_apply(freq_block: np.ndarray) -> np.ndarray:
+    """Apply the unitary inverse DFT to each column of an N x M block.
+
+    Returns (1/sqrt(N)) * Q^H @ freq_block, Q the DFT matrix with entry
+    (p, q) = exp(-2j*pi*p*q/N), so per-column energy is preserved and a
+    unit-power constellation stays unit power in time. It is computed by
+    FFT, without forming Q.
+    """
+    return np.fft.ifft(freq_block, axis=0, norm="ortho")
 
 
 def build_cp_block(freq_block: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
@@ -145,8 +130,8 @@ def generate_stream(cfg: OfdmConfig, seed) -> IqSequence:
     """Generate the full K-block transmit stream from a seeded RNG.
 
     `seed` is anything numpy's default_rng accepts (int, SeedSequence,
-    Generator). Symbols are drawn uniformly over the constellation, which
-    is equivalent to mapping i.i.d. uniform bits.
+    Generator). Each symbol is a uniform draw of an index into
+    qam_constellation, the same as Gray-mapping i.i.d. uniform bits.
     """
     rng = np.random.default_rng(seed)
     points = qam_constellation(cfg.mod_order)

@@ -18,7 +18,7 @@ from ofdmblind.harness import (
     load_preset,
     run_sweep,
 )
-from ofdmblind.numerics import hermitian_eigenvalues
+from ofdmblind.estimator import hermitian_eigenvalues
 from ofdmblind.transmitter import OfdmConfig, generate_stream
 
 WORKERS = 4

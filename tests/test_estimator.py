@@ -374,16 +374,25 @@ class TestEstimateN:
 
     def test_faint_capture_keeps_its_decision(self):
         # 1e-18 puts the stream power near 1e-36, far below any fixed
-        # eigenvalue floor; complex64 is what an .iq file holds
+        # eigenvalue floor; complex64 is what an .iq file holds. At 1e-170
+        # and below, the unscaled covariance would underflow.
         x, est = self.fig2_capture()
         assert estimate_n(x, est).n_hat == 32
         assert estimate_n((1e-18 * x).astype(np.complex64), est).n_hat == 32
+        for scale in (1e-170, 1e-200):
+            assert estimate_n(scale * x, est).n_hat == 32
 
-    def test_energy_overflow_rejected(self):
-        # every sample is finite, but the covariance would overflow
+    def test_huge_capture_keeps_its_decision(self):
+        # every sample is finite, but the unscaled covariance would
+        # overflow; the reported spectra do overflow to inf
         x, est = self.fig2_capture()
-        with pytest.raises(DataError, match="NaN or infinite"):
-            estimate_n(1e160 * x, est)
+        with np.errstate(over="ignore"):
+            for scale in (1e160, 1e300):
+                assert estimate_n(scale * x, est).n_hat == 32
+
+    def test_all_zero_stream_reports_smallest_candidate(self):
+        cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=12)
+        assert estimate_n(np.zeros(400, dtype=complex), cfg).n_hat == 4
 
     @pytest.mark.parametrize("taps", [2, 5], ids=["scored", "taps-beyond-cp"])
     def test_mdl_never_called(self, monkeypatch, taps):

@@ -63,8 +63,9 @@ def test_rank_theorem_under_cfo(layout, eps):
 
 
 @SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-30, 30))
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-300, 300))
 def test_decision_scale_invariant(seed, k):
     x = received(8, 3, 2, seed, snr_db=10.0)
     cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=12)
-    assert estimate_n(10.0 ** k * x, cfg).n_hat == estimate_n(x, cfg).n_hat
+    with np.errstate(over="ignore"):  # spectra of the largest scales overflow
+        assert estimate_n(10.0 ** k * x, cfg).n_hat == estimate_n(x, cfg).n_hat

@@ -1,4 +1,6 @@
 """Tests for CP-OFDM stream synthesis and the IQ file format."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from ofdmblind.transmitter import (
     OfdmConfig,
     build_cp_block,
     generate_stream,
-    map_qam,
     meta_fields,
     qam_constellation,
     read_iq_file,
@@ -70,13 +71,13 @@ class TestOfdmConfig:
 
 
 class TestMapQam:
+    """The Gray-ordered table that generate_stream indexes."""
+
     def test_qpsk_all_zero_bits(self):
-        out = map_qam(np.array([0, 0]), 4)
-        assert out[0] == pytest.approx((1 + 1j) / np.sqrt(2))
+        assert qam_constellation(4)[0] == pytest.approx((1 + 1j) / np.sqrt(2))
 
     def test_qpsk_all_one_bits(self):
-        out = map_qam(np.array([1, 1]), 4)
-        assert out[0] == pytest.approx((-1 - 1j) / np.sqrt(2))
+        assert qam_constellation(4)[3] == pytest.approx((-1 - 1j) / np.sqrt(2))
 
     def test_sixteen_qam_unit_power(self):
         # enumerating all 16 points, mean |.|^2 must be exactly 1
@@ -92,28 +93,28 @@ class TestMapQam:
     @pytest.mark.parametrize("mod", [4, 16, 64, 256])
     def test_gray_adjacency_per_axis(self, mod):
         # sweeping one axis level to its neighbour flips exactly one bit
-        bps = int(np.log2(mod))
-        half = bps // 2
-        amps = {}
-        for pattern in range(1 << half):
-            bits = [(pattern >> (half - 1 - b)) & 1 for b in range(half)]
-            sym = map_qam(np.array(bits + [0] * half), mod)
-            amps[pattern] = sym[0].real
-        ordered = sorted(amps, key=lambda pat: amps[pat])
-        for a, b in zip(ordered, ordered[1:]):
-            assert bin(a ^ b).count("1") == 1
+        points = qam_constellation(mod)
+        half = int(np.log2(mod)) // 2
+        side = 1 << half
+        for axis in (points[::side].real, points[:side].imag):
+            ordered = np.argsort(axis)
+            for a, b in zip(ordered, ordered[1:]):
+                assert bin(a ^ b).count("1") == 1
 
     def test_constellation_points_distinct(self):
         points = qam_constellation(64)
         assert len(np.unique(np.round(points, 9))) == 64
 
-    def test_bit_count_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            map_qam(np.array([0, 1, 0]), 4)
-
-    def test_unsupported_order_rejected(self):
-        with pytest.raises(ConfigError):
-            map_qam(np.array([0, 1, 0]), 8)
+    @pytest.mark.parametrize("mod", [4, 16, 64, 256])
+    def test_table_bytes_pinned(self, mod):
+        # integer levels and one IEEE division: no BLAS in the bytes
+        digest = hashlib.sha256(qam_constellation(mod).tobytes()).hexdigest()
+        assert digest == {
+            4: "db860e05d78202f159e28f16fbe26c8e060fc8c65c4b872c8bb3f7fc5915071e",
+            16: "76a51a7540737fc5fdeee017f325993c9c95afaf275dc32606e8f28c84ecd651",
+            64: "1f1f21a0d8cae4f3366f29dc3cd762db6415b8d40951223fafcc74d5f5eb35b0",
+            256: "21f399f9df65a60c614208d70c59fa1b500551471939d2be2a6e0e2f24115bd5",
+        }[mod]
 
 
 class TestBuildCpBlock:
