@@ -23,14 +23,9 @@ from .estimator import (
     mdl,
     rank_oracle_noise_free,
 )
-from .harness import PRESET_NAMES, emit_csv, load_preset, load_spec_file, run_sweep, simulate
-from .transmitter import (
-    OfdmConfig,
-    meta_fields,
-    read_iq_file,
-    write_iq_file,
-    write_meta_file,
-)
+from .harness import (OFDM_KEYS, PRESET_NAMES, emit_csv, load_preset, load_spec_file,
+                      run_sweep, simulate, write_section)
+from .transmitter import OfdmConfig, read_iq_file, write_iq_file
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract here is 1.
@@ -94,10 +89,9 @@ def cmd_generate(args) -> int:
     )
     received = simulate(cfg, ChannelConfig(num_taps=args.taps, snr_db=args.snr_db), args.seed)
     count = write_iq_file(args.out, received.samples)
-    fields = meta_fields(cfg, args.seed)
-    fields["num_taps"] = args.taps
-    fields["snr_db"] = args.snr_db
-    write_meta_file(f"{args.out}.meta", fields)
+    fields = {key: getattr(cfg, field) for key, field in OFDM_KEYS.items()}
+    write_section(f"{args.out}.meta", "generate", {
+        **fields, "taps": args.taps, "snr_db": repr(args.snr_db), "seed": args.seed})
     print(count)
     return 0
 
@@ -143,8 +137,6 @@ def cmd_sweep(args) -> int:
         spec = load_preset(args.preset, scale=args.scale)
     if args.trials is not None:
         spec = replace(spec, trials=args.trials)
-    if args.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {args.threads}")
     result = run_sweep(spec, workers=args.threads)
     emit_csv(result, args.out)
     print(f"{len(result.points)} points -> {args.out}")

@@ -6,6 +6,11 @@ value, the probability that the blind estimator recovers the true
 subcarrier count. Trial seeds are derived from (master_seed, axis_index,
 trial_index) alone, so results are identical however the trials are
 scheduled, and a rerun of the same spec is byte-for-byte reproducible.
+
+Spec files are flat key=value INI sections. `emit_csv` writes the
+sweep's provenance sidecar as one such section, so `load_spec_file`
+reads it back into an equal spec, and `write_section` also writes the
+`.meta` sidecar of a generated capture.
 """
 from __future__ import annotations
 
@@ -117,7 +122,7 @@ def simulate(ofdm_cfg: OfdmConfig, chan_cfg: ChannelConfig, seed) -> IqSequence:
     data_ss, chan_ss, noise_ss = np.random.SeedSequence(seed).spawn(3)
     s = generate_stream(ofdm_cfg, data_ss)
     real = draw_realization(chan_cfg, ofdm_cfg.num_blocks, chan_ss)
-    return apply_block_channel(s, real, noise_ss if real.noise_var > 0 else None)
+    return apply_block_channel(s, real, noise_ss)
 
 
 def run_trial(ofdm_cfg: OfdmConfig, chan_cfg: ChannelConfig,
@@ -138,14 +143,17 @@ def wilson_halfwidth(successes: int, trials: int) -> float:
     )
 
 
-def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Run every (axis value, trial) pair and aggregate Pd per point.
 
-    Trials may run on a thread pool; each one is a pure function of its
-    seed tuple, and aggregation is a commutative count, so the worker
-    count cannot change the result.
+    Trials run on a pool of `workers` threads (at least one); each one is
+    a pure function of its seed tuple, and aggregation is a commutative
+    count, so the worker count cannot change the result.
     """
     from . import __version__
+
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
 
     jobs = []
     for axis_index, value in enumerate(spec.axis_values):
@@ -158,11 +166,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         _, bundle, seed = job
         return run_trial(*bundle, seed)
 
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, jobs))
-    else:
-        outcomes = [one(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = list(pool.map(one, jobs))
 
     wins = [0] * len(spec.axis_values)
     for (axis_index, _, _), ok in zip(jobs, outcomes):
@@ -180,8 +185,27 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
 
 
 def emit_csv(result: SweepResult, path) -> None:
-    """Write the sweep as CSV plus a key=value provenance sidecar."""
+    """Write the sweep as CSV plus a provenance sidecar, `<path>.provenance.txt`.
+
+    The sidecar is a spec file of one section named after the spec's
+    label; `load_spec_file` reads it back into an equal spec, so
+    `ofdmblind sweep --spec <path>.provenance.txt` rewrites the CSV byte
+    for byte. Its `version` key records the package version and is not
+    read back.
+    """
     spec = result.spec
+    if spec.axis == "snr_db":
+        values = [repr(float(v)) for v in spec.axis_values]
+    else:
+        values = [str(int(v)) for v in spec.axis_values]
+    fields = {
+        "version": result.version,
+        "axis": spec.axis,
+        "axis_values": ", ".join(values),
+        "snr_db": repr(float(spec.snr_db)),
+        **{key: getattr(spec.ofdm, field) for key, field in OFDM_KEYS.items()},
+        **{key: getattr(spec, field) for key, field in SWEEP_KEYS.items()},
+    }
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("axis,axis_value,pd,trials,ci_halfwidth\n")
@@ -190,38 +214,26 @@ def emit_csv(result: SweepResult, path) -> None:
                     f"{spec.axis},{float(pt.axis_value):.10g},{pt.pd:.6f},"
                     f"{pt.trials},{pt.ci_halfwidth:.6f}\n"
                 )
-        with open(f"{path}.provenance.txt", "w", encoding="ascii", newline="\n") as fh:
-            for key, value in _provenance_fields(result).items():
-                fh.write(f"{key}={value}\n")
+        write_section(f"{path}.provenance.txt", spec.label, fields)
     except OSError as err:
         raise DataError(f"cannot write {path}: {err}") from None
 
 
-def _provenance_fields(result: SweepResult) -> dict:
-    spec = result.spec
-    return {
-        "version": result.version,
-        "label": spec.label,
-        "axis": spec.axis,
-        "axis_values": ",".join(f"{float(v):.10g}" for v in spec.axis_values),
-        "trials": spec.trials,
-        "master_seed": spec.master_seed,
-        "n_subcarriers": spec.ofdm.n_subcarriers,
-        "cp_len": spec.ofdm.cp_len,
-        "symbols_per_block": spec.ofdm.symbols_per_block,
-        "num_blocks": spec.ofdm.num_blocks,
-        "mod_order": spec.ofdm.mod_order,
-        "num_taps": spec.num_taps,
-        "snr_db": spec.snr_db,
-        "n_min": spec.n_min,
-        "n_max": spec.n_max,
-    }
+# --- key=value spec files -------------------------------------------------
+
+# spec-file key -> OfdmConfig field, and spec-file key -> SweepSpec field
+OFDM_KEYS = {"n": "n_subcarriers", "cp": "cp_len", "symbols": "symbols_per_block",
+             "blocks": "num_blocks", "mod": "mod_order"}
+SWEEP_KEYS = {"taps": "num_taps", "n_min": "n_min", "n_max": "n_max",
+              "trials": "trials", "master_seed": "master_seed"}
 
 
-# --- sweep spec files -----------------------------------------------------
-
-_INT_KEYS = ("n", "cp", "symbols", "blocks", "mod", "taps",
-             "n_min", "n_max", "trials", "master_seed")
+def write_section(path, name: str, fields: dict) -> None:
+    """Write `fields` as the one key=value section [name] of an ASCII file."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser[name] = {key: str(value) for key, value in fields.items()}
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        parser.write(fh)
 
 
 def _spec_from_section(name: str, section) -> SweepSpec:
@@ -231,31 +243,15 @@ def _spec_from_section(name: str, section) -> SweepSpec:
         values = tuple(
             float(v) if axis == "snr_db" else int(v) for v in raw_values
         )
-        fields = {key: int(section[key]) for key in _INT_KEYS}
+        ofdm = {field: int(section[key]) for key, field in OFDM_KEYS.items()}
+        sweep = {field: int(section[key]) for key, field in SWEEP_KEYS.items()}
         snr_db = float(section["snr_db"])
     except KeyError as err:
         raise ConfigError(f"sweep spec [{name}] is missing key {err}") from None
     except ValueError as err:
         raise ConfigError(f"sweep spec [{name}]: {err}") from None
-    ofdm = OfdmConfig(
-        n_subcarriers=fields["n"],
-        cp_len=fields["cp"],
-        symbols_per_block=fields["symbols"],
-        num_blocks=fields["blocks"],
-        mod_order=fields["mod"],
-    )
-    return SweepSpec(
-        axis=axis,
-        axis_values=values,
-        ofdm=ofdm,
-        num_taps=fields["taps"],
-        snr_db=snr_db,
-        n_min=fields["n_min"],
-        n_max=fields["n_max"],
-        trials=fields["trials"],
-        master_seed=fields["master_seed"],
-        label=name,
-    )
+    return SweepSpec(axis=axis, axis_values=values, ofdm=OfdmConfig(**ofdm),
+                     snr_db=snr_db, label=name, **sweep)
 
 
 def parse_sweep_specs(text: str) -> dict:

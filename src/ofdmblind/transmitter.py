@@ -8,8 +8,8 @@ serialized column by column into one long baseband stream of K*T
 samples, T = M*(N+P).
 
 Also houses the raw IQ file format used at the process boundary:
-little-endian interleaved float32 (re, im) pairs with no header, plus a
-flat key=value sidecar carrying the generating parameters.
+little-endian complex64 samples, that is interleaved float32 (re, im)
+pairs, with no header.
 """
 from __future__ import annotations
 
@@ -146,12 +146,9 @@ def generate_stream(cfg: OfdmConfig, seed) -> IqSequence:
 # --- raw IQ file format -------------------------------------------------
 
 def write_iq_file(path, samples: np.ndarray) -> int:
-    """Write interleaved little-endian float32 (re, im) pairs; returns sample count."""
+    """Write samples as little-endian complex64; returns the sample count."""
     arr = np.asarray(samples, dtype=complex)
-    inter = np.empty(2 * len(arr), dtype="<f4")
-    inter[0::2] = arr.real
-    inter[1::2] = arr.imag
-    inter.tofile(path)
+    arr.astype("<c8").tofile(path)
     return len(arr)
 
 
@@ -160,23 +157,4 @@ def read_iq_file(path) -> np.ndarray:
     raw = np.fromfile(path, dtype="<f4")
     if len(raw) % 2 != 0:
         raise DataError(f"{path}: odd float count {len(raw)}, not an IQ pair stream")
-    return raw[0::2].astype(complex) + 1j * raw[1::2]
-
-
-def write_meta_file(path, fields: dict) -> None:
-    """Write the flat key=value sidecar accompanying an IQ file."""
-    with open(path, "w", encoding="ascii") as fh:
-        for key, value in fields.items():
-            fh.write(f"{key}={value}\n")
-
-
-def meta_fields(cfg: OfdmConfig, seed) -> dict:
-    """Sidecar content for a generated stream."""
-    return {
-        "N": cfg.n_subcarriers,
-        "P": cfg.cp_len,
-        "M": cfg.symbols_per_block,
-        "K": cfg.num_blocks,
-        "mod_order": cfg.mod_order,
-        "seed": seed,
-    }
+    return raw.view("<c8").astype(complex)

@@ -1,4 +1,6 @@
 """End-to-end tests of the command-line surface and its exit codes."""
+import configparser
+
 import numpy as np
 import pytest
 
@@ -49,9 +51,12 @@ class TestGenerate:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "16"
         assert out.stat().st_size == 16 * 8
-        meta = (tmp_path / "tiny.iq.meta").read_text(encoding="ascii").splitlines()
-        assert "N=2" in meta
-        assert "seed=0" in meta
+        meta = configparser.ConfigParser()
+        meta.read(tmp_path / "tiny.iq.meta", encoding="ascii")
+        assert meta.sections() == ["generate"]
+        assert dict(meta["generate"]) == {
+            "n": "2", "cp": "2", "symbols": "2", "blocks": "2", "mod": "4",
+            "taps": "1", "snr_db": "inf", "seed": "0"}
 
     def test_cp_longer_than_n_fails(self, tmp_path, capsys):
         rc = run(["generate", "--n", "4", "--cp", "5", "--out",
@@ -179,11 +184,13 @@ class TestSweep:
         assert not out.exists()
 
     def test_zero_trials_exits_one(self, tmp_path, capsys):
+        # and so does a zero worker-thread count
         spec = tmp_path / "sweeps.ini"
         spec.write_text(SPEC_TEXT)
-        rc = run(["sweep", "--spec", str(spec), "--section", "quick",
-                  "--trials", "0", "--out", str(tmp_path / "x.csv")])
-        assert rc == 1
+        for flag in ("--trials", "--threads"):
+            rc = run(["sweep", "--spec", str(spec), "--section", "quick",
+                      flag, "0", "--out", str(tmp_path / "x.csv")])
+            assert rc == 1
 
     def test_infeasible_axis_point_exits_one(self, tmp_path, capsys):
         spec = tmp_path / "sweeps.ini"

@@ -1,4 +1,5 @@
 """Tests for the Monte Carlo sweep engine, presets, and CSV output."""
+import configparser
 import hashlib
 from dataclasses import replace
 
@@ -190,9 +191,13 @@ class TestRunSweep:
 
     def test_worker_count_cannot_change_results(self):
         spec = small_spec()
-        serial = run_sweep(spec, workers=None)
+        serial = run_sweep(spec, workers=1)
         threaded = run_sweep(spec, workers=4)
         assert serial.points == threaded.points
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ConfigError, match="workers"):
+            run_sweep(small_spec(trials=1), workers=0)
 
 
 class TestEmitCsv:
@@ -208,9 +213,23 @@ class TestEmitCsv:
         assert first[0] == "snr_db"
         assert first[1] == "0"
         assert first[3] == "2"
-        prov = (tmp_path / "sweep.csv.provenance.txt").read_text()
-        assert "master_seed=99" in prov
-        assert "label=sweep" in prov
+        prov = configparser.ConfigParser()
+        prov.read(tmp_path / "sweep.csv.provenance.txt", encoding="ascii")
+        assert prov.sections() == ["sweep"]
+        assert prov["sweep"]["master_seed"] == "99"
+
+    @pytest.mark.parametrize("spec", [
+        *(replace(load_preset(name), trials=2) for name in PRESET_NAMES),
+        # values whose shortest decimal form is long, and a noise-free base
+        small_spec(axis_values=(0.1 + 0.2, 1 / 3, -7.25), snr_db=float("inf"), trials=2),
+    ], ids=[*PRESET_NAMES, "awkward-snr"])
+    def test_sidecar_reruns_the_sweep(self, tmp_path, spec):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        emit_csv(run_sweep(spec), a)
+        reloaded = load_spec_file(f"{a}.provenance.txt")
+        assert reloaded == {spec.label: spec}
+        emit_csv(run_sweep(reloaded[spec.label]), b)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = small_spec(trials=2)

@@ -10,27 +10,10 @@ from ofdmblind.transmitter import (
     OfdmConfig,
     build_cp_block,
     generate_stream,
-    meta_fields,
     qam_constellation,
     read_iq_file,
     write_iq_file,
-    write_meta_file,
 )
-
-
-def read_meta_file(path) -> dict:
-    """Parse a key=value sidecar; values stay strings."""
-    fields = {}
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}: malformed sidecar line {line!r}")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    return fields
 
 
 def on_constellation(points, mod_order):
@@ -238,16 +221,12 @@ class TestIqFiles:
         with pytest.raises(DataError):
             read_iq_file(path)
 
-    def test_meta_roundtrip(self, tmp_path):
-        path = tmp_path / "x.meta"
-        fields = meta_fields(appendix_cfg(), seed=7)
-        write_meta_file(path, fields)
-        back = read_meta_file(path)
-        assert back == {"N": "2", "P": "2", "M": "2", "K": "2",
-                        "mod_order": "4", "seed": "7"}
-
-    def test_malformed_meta_rejected(self, tmp_path):
-        path = tmp_path / "bad.meta"
-        path.write_text("just a line without a key\n")
-        with pytest.raises(DataError):
-            read_meta_file(path)
+    def test_non_finite_parts_round_trip(self, tmp_path):
+        # each part is stored on its own, so a non-finite or signed-zero
+        # part comes back bit for bit and leaves the other part alone
+        path = tmp_path / "odd.iq"
+        samples = np.array([complex(1, np.inf), complex(2, np.nan),
+                            complex(np.inf, 1), complex(3, -0.0)])
+        write_iq_file(path, samples)
+        back = read_iq_file(path)
+        assert back.view(np.float64).tobytes() == samples.view(np.float64).tobytes()
