@@ -154,8 +154,11 @@ def cmd_rank_check(args) -> int:
         symbols_per_block=args.symbols,
         num_blocks=args.blocks,
     )
+    n_star = cfg.symbol_len
+    if cfg.stream_len < n_star * n_star:
+        raise ConfigError(f"segment length {n_star} needs {n_star * n_star} samples, "
+                          f"the stream holds {cfg.stream_len}; raise --symbols or --blocks")
     received = simulate(cfg, ChannelConfig(num_taps=args.taps, snr_db=float("inf")), args.seed)
-    n_star = cfg.n_subcarriers + cfg.cp_len
     rank = rank_oracle_noise_free(received, n_star)
     expected = cfg.n_subcarriers + args.taps - 1
     pairs = duplicate_row_pairs(received, cfg.n_subcarriers, cfg.cp_len, args.taps)
@@ -183,10 +186,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except DataError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (DataError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

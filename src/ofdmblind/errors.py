@@ -6,7 +6,9 @@ class OfdmBlindError(Exception):
 
 
 class ConfigError(OfdmBlindError):
-    """Invalid parameters or violated call contract (a caller bug)."""
+    """Invalid parameters, rejected where they enter: by the exported
+    names in `ofdmblind.__all__` and by the CLI. Internal helpers trust
+    what these have checked."""
 
 
 class DataError(OfdmBlindError):

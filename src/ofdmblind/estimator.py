@@ -143,36 +143,27 @@ def segment(r, n_prime: int) -> np.ndarray:
 
     Column m holds samples m*N' .. (m+1)*N' - 1, so the result is an
     F-ordered view of the stream, M' = floor(len / N') = its shape[1].
-    Trailing samples short of a full segment are discarded. At least N'
-    full segments are required, so the stream must hold N'^2 samples.
+    Trailing samples short of a full segment are discarded. The caller
+    guarantees N' >= 1 and at least N'^2 samples, so M' >= N': estimate_n
+    checks its largest candidate, rank-check its one segment length.
     """
     x = _samples(r)
-    if n_prime < 1:
-        raise ConfigError(f"segment length must be >= 1, got {n_prime}")
     m_prime = len(x) // n_prime
-    if m_prime < n_prime:
-        raise DataError(
-            f"need at least {n_prime * n_prime} samples to segment at N'={n_prime}, "
-            f"got {len(x)}"
-        )
     return x[:n_prime * m_prime].reshape(n_prime, m_prime, order="F")
 
 
 def covariance(seg: np.ndarray) -> np.ndarray:
     """Sample covariance (1/M') R R^H of an N' x M' segment matrix R.
 
-    R is a 2-D array, as segment returns it; any other ndim raises
-    ConfigError. Computed from the real Gram matrix G = Y^T Y of the
-    M' x 2N' float64 view Y of R^T, whose row m interleaves the real and
-    imaginary parts of column m of R. With R = A + jB, the entries of G are the sums
-    A A^T, B B^T, B A^T and A B^T, interleaved, so R R^H =
-    (A A^T + B B^T) + j(B A^T - A B^T). This takes half the flops of the
-    complex product and needs no conjugated copy. The result is exactly
-    Hermitian, since G is exactly symmetric.
+    R is the 2-D array segment returns. Computed from the real Gram matrix
+    G = Y^T Y of the M' x 2N' float64 view Y of R^T, whose row m
+    interleaves the real and imaginary parts of column m of R. With
+    R = A + jB, the entries of G are the sums A A^T, B B^T, B A^T and
+    A B^T, interleaved, so R R^H = (A A^T + B B^T) + j(B A^T - A B^T).
+    This takes half the flops of the complex product and needs no
+    conjugated copy. The result is exactly Hermitian, since G is exactly
+    symmetric.
     """
-    seg = np.asarray(seg)
-    if seg.ndim != 2:
-        raise ConfigError(f"expected an N' x M' segment matrix, got shape {seg.shape}")
     n_prime, m_prime = seg.shape
     # R^T is already C-contiguous for a segmented stream, so neither the
     # conversion nor the view copies. numpy hands y.T @ y to the BLAS
@@ -191,17 +182,13 @@ def covariance(seg: np.ndarray) -> np.ndarray:
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a square Hermitian matrix, as a descending float array.
 
-    A matrix that is not square raises ConfigError. Hermitian symmetry is
-    the caller's guarantee and is not checked: only the lower triangle is
-    read; covariance's output is exactly Hermitian. The spectrum is
-    returned as computed, so the eigenvalue sum matches the trace; the MDL
-    criterion and the floor ratio clamp at their floor themselves.
-    Roundoff on PSD inputs can leave tiny negative values here.
+    A square Hermitian array is the caller's guarantee and is not checked:
+    only the lower triangle is read; covariance's output is exactly
+    Hermitian. The spectrum is returned as computed, so the eigenvalue sum
+    matches the trace; the MDL criterion and the floor ratio clamp at their
+    floor themselves. Roundoff on PSD inputs can leave tiny negative values.
     """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConfigError(f"expected a square matrix, got shape {a.shape}")
-    return np.linalg.eigvalsh(a)[::-1]
+    return np.linalg.eigvalsh(m)[::-1]
 
 
 def _floored(lam: np.ndarray) -> np.ndarray:
@@ -226,18 +213,12 @@ def floor_ratio(lam: np.ndarray, m_prime: int, missing: int) -> float:
 def mdl(spectrum, m_prime: int) -> MdlCurve:
     """Evaluate the MDL curve over all split points of one descending spectrum.
 
-    Ties in the argmin resolve to the smallest zeta.
+    Ties in the argmin resolve to the smallest zeta. The caller passes a
+    non-empty descending spectrum, as hermitian_eigenvalues returns it,
+    and M' >= 1.
     """
-    lam = np.asarray(spectrum, dtype=float)
-    if np.any(np.diff(lam) > 0):
-        raise ConfigError("spectrum must be sorted descending")
-    if m_prime < 1:
-        raise ConfigError(f"m_prime must be >= 1, got {m_prime}")
+    lam = _floored(np.asarray(spectrum, dtype=float))
     n = len(lam)
-    if n < 1:
-        raise ConfigError("empty spectrum")
-
-    lam = _floored(lam)
     log_m = math.log(m_prime)
     zeta = np.arange(1, n, dtype=float)
     # Residual tail sums for each split, largest eigenvalues excluded.
@@ -308,10 +289,8 @@ def duplicate_row_pairs(r, n: int, p: int, l: int) -> list:
     Returns the pairs that actually coincide within DUPLICATE_ROW_TOL
     across all columns but the first; the stream's very first segment has
     no predecessor, and its low rows are not covered by the derivation.
-    L outside 1..P raises ConfigError.
+    The caller guarantees 1 <= L <= P and (N+P)^2 samples.
     """
-    if not 1 <= l <= p:
-        raise ConfigError(f"need 1 <= L <= P, got L={l}, P={p}")
     seg = segment(r, n + p)
     pairs = []
     for i in range(l, p + 1):

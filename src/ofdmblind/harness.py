@@ -56,6 +56,10 @@ class SweepSpec:
             raise ConfigError("axis_values must be non-empty")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        # the label names the provenance sidecar's section, which must read back
+        label = self.label
+        if label in ("", "DEFAULT") or not label.isascii() or "\n" in label or "\r" in label:
+            raise ConfigError(f"label must be one line of ASCII, not DEFAULT, got {label!r}")
         for value in self.axis_values:
             try:
                 ofdm, chan, est = point_configs(self, value)
@@ -133,9 +137,7 @@ def run_trial(ofdm_cfg: OfdmConfig, chan_cfg: ChannelConfig,
 
 
 def wilson_halfwidth(successes: int, trials: int) -> float:
-    """Half-width of the 95% Wilson score interval for a proportion."""
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    """Half-width of the 95% Wilson score interval; trials >= 1, as SweepSpec checks."""
     z2 = _WILSON_Z ** 2
     p = successes / trials
     return (_WILSON_Z / (1.0 + z2 / trials)) * math.sqrt(

@@ -114,15 +114,10 @@ def build_cp_block(freq_block: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
 
     Output is (N+P) x M; by construction row i equals row i+N for
     i = 0..P-1 (0-based), which is the redundancy the estimator exploits.
+    The caller passes an N x M array, as generate_stream draws it.
     """
-    fb = np.asarray(freq_block, dtype=complex)
     n, p = cfg.n_subcarriers, cfg.cp_len
-    if fb.shape != (n, cfg.symbols_per_block):
-        raise ConfigError(
-            f"frequency block shape {fb.shape} does not match config "
-            f"({n} x {cfg.symbols_per_block})"
-        )
-    time_block = idft_apply(fb)
+    time_block = idft_apply(freq_block)
     return np.vstack([time_block[n - p:, :], time_block])
 
 

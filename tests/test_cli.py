@@ -43,6 +43,12 @@ def run(argv):
     return main(argv)
 
 
+def assert_one_error_naming(err, name):
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and str(name) in lines[0]
+
+
 class TestGenerate:
     def test_sixteen_sample_file(self, tmp_path, capsys):
         out = tmp_path / "tiny.iq"
@@ -146,6 +152,13 @@ class TestEstimate:
         assert rc == 1
         assert "cp" in capsys.readouterr().err
 
+    def test_missing_file_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "none.iq"
+        rc = run(["estimate", "--in", str(missing), "--cp", "7", "--taps", "4",
+                  "--n-min", "16", "--n-max", "48"])
+        assert rc == 2
+        assert_one_error_naming(capsys.readouterr().err, missing)
+
 
 class TestSweep:
     def test_spec_file_section(self, tmp_path, capsys):
@@ -201,6 +214,18 @@ class TestSweep:
         assert "N'=43 needs 1849 samples" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_missing_spec_file_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "none.ini"
+        rc = run(["sweep", "--spec", str(missing), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert_one_error_naming(capsys.readouterr().err, missing)
+
+    def test_out_in_missing_directory_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "none" / "x.csv"
+        rc = run(["sweep", "--preset", "fig5", "--trials", "1", "--out", str(out)])
+        assert rc == 2
+        assert_one_error_naming(capsys.readouterr().err, out)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = tmp_path / "sweeps.ini"
         spec.write_text(SPEC_TEXT)
@@ -231,6 +256,17 @@ class TestRankCheck:
     def test_taps_beyond_cp_exits_one(self, capsys):
         rc = run(["rank-check", "--taps", "3", "--cp", "2"])
         assert rc == 1
+
+    def test_stream_shorter_than_segment_squared_exits_one(self, monkeypatch, capsys):
+        # N+P = 10 needs 100 samples; 2 blocks of 2 symbols hold 40. The
+        # layout is rejected before any stream is simulated.
+        def no_simulation(*args):
+            raise AssertionError("rank-check simulated an infeasible layout")
+
+        monkeypatch.setattr("ofdmblind.cli.simulate", no_simulation)
+        rc = run(["rank-check", "--n", "8"])
+        assert rc == 1
+        assert_one_error_naming(capsys.readouterr().err, "100 samples")
 
     def test_threads_environment_variable_ignored(self, monkeypatch, capsys):
         # worker threads are set by --threads alone; a stray environment

@@ -93,10 +93,6 @@ class TestSegment:
         # sample 16 never appears
         assert seg.ravel(order="F") == pytest.approx(np.arange(15))
 
-    def test_insufficient_data_names_minimum(self):
-        with pytest.raises(DataError, match="16"):
-            segment(np.zeros(15, dtype=complex), 4)
-
     def test_iq_sequence_accepted(self):
         cfg = OfdmConfig(n_subcarriers=2, cp_len=2, symbols_per_block=2, num_blocks=2)
         seg = segment(generate_stream(cfg, 0), 4)
@@ -164,11 +160,6 @@ class TestCovariance:
         assert np.shares_memory(seg, x)
         assert seg.T.flags.c_contiguous
 
-    @pytest.mark.parametrize("shape", [(20,), (2, 4, 5)], ids=["1-d", "3-d"])
-    def test_non_matrix_rejected(self, shape):
-        with pytest.raises(ConfigError):
-            covariance(np.zeros(shape, dtype=complex))
-
     def test_white_noise_covariance_near_identity(self):
         rng = np.random.default_rng(3)
         n = 8 * 10_000
@@ -213,18 +204,6 @@ class TestMdl:
     def test_final_split_is_pure_penalty(self):
         curve = mdl(np.array([5.0, 1.0, 0.5]), 50)
         assert curve.values[-1] == pytest.approx(0.5 * 9 * math.log(50))
-
-    def test_ascending_rejected(self):
-        with pytest.raises(ConfigError):
-            mdl(np.array([1.0, 2.0, 3.0]), 10)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            mdl(np.array([]), 10)
-
-    def test_bad_m_prime_rejected(self):
-        with pytest.raises(ConfigError):
-            mdl(np.array([2.0, 1.0]), 0)
 
 
 class TestFloorRatio:
@@ -443,10 +422,3 @@ class TestDuplicateRows:
     def test_wrong_n_has_no_pairs(self):
         r = faded_stream(8, 3, 2, m=30, k=2, seed=3)
         assert duplicate_row_pairs(r, 9, 3, 2) == []
-
-    def test_bad_tap_count_rejected(self):
-        r = faded_stream(8, 3, 2, m=15, k=1, seed=4)
-        with pytest.raises(ConfigError):
-            duplicate_row_pairs(r, 8, 3, 4)
-        with pytest.raises(ConfigError):
-            duplicate_row_pairs(r, 8, 3, 0)

@@ -72,6 +72,15 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             small_spec(trials=0)
 
+    @pytest.mark.parametrize("label", ["", "DEFAULT", "a\nb", "a\rb", "\u00e9"],
+                             ids=["empty", "DEFAULT", "newline", "return", "non-ascii"])
+    def test_label_without_readable_sidecar_rejected(self, label):
+        # the label names the provenance sidecar's one section: the parser
+        # files DEFAULT under its defaults, a line break or empty name cannot
+        # be read back, and the sidecar is written as ASCII
+        with pytest.raises(ConfigError, match="label"):
+            small_spec(label=label)
+
     def test_invalid_point_named(self):
         # cp_len = 0 is invalid per point, and the message says which point
         with pytest.raises(ConfigError, match="cp_len=0"):
@@ -167,10 +176,6 @@ class TestWilsonHalfwidth:
 
     def test_shrinks_with_trials(self):
         assert wilson_halfwidth(100, 200) < wilson_halfwidth(50, 100)
-
-    def test_zero_trials_rejected(self):
-        with pytest.raises(ConfigError):
-            wilson_halfwidth(0, 0)
 
 
 class TestRunSweep:

@@ -96,10 +96,6 @@ class TestHermitianEigenvalues:
         assert spec[0] == pytest.approx(2.0)
         assert spec[1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ConfigError):
-            hermitian_eigenvalues(np.ones((2, 3)))
-
     @pytest.mark.parametrize("seed", range(6))
     def test_eigenvalue_sum_matches_trace(self, seed):
         rng = np.random.default_rng(seed)
