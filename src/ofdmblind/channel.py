@@ -31,8 +31,12 @@ class ChannelConfig:
     def __post_init__(self):
         if self.num_taps < 1:
             raise ConfigError(f"num_taps must be >= 1, got {self.num_taps}")
-        if math.isnan(self.snr_db):
-            raise ConfigError("snr_db must be a number or inf, got nan")
+        try:
+            noise_var = calibrate_noise(self.snr_db)
+        except OverflowError:
+            noise_var = math.inf
+        if not noise_var < math.inf:
+            raise ConfigError(f"snr_db {self.snr_db} gives no finite noise power 10^(-snr_db/10)")
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,8 @@ class ChannelRealization:
         object.__setattr__(self, "taps", arr)
         if arr.ndim != 2:
             raise ConfigError(f"taps must be K x L, got shape {arr.shape}")
-        if self.noise_var < 0:
-            raise ConfigError(f"noise_var must be >= 0, got {self.noise_var}")
+        if not 0.0 <= self.noise_var < math.inf:
+            raise ConfigError(f"noise_var must be finite and >= 0, got {self.noise_var}")
 
     @property
     def num_blocks(self) -> int:
@@ -84,8 +88,8 @@ def apply_block_channel(s: IqSequence, real: ChannelRealization, noise_seed=None
     the first L-1 samples of this one (B_1 is identically zero). Rather
     than forming those matrices, each block is convolved with its own tap
     vector after being extended by the last L-1 transmit samples of its
-    predecessor; the two formulations agree exactly, which the test suite
-    checks against explicitly built H and B.
+    predecessor, block 0 by L-1 zeros; the two formulations agree exactly,
+    which the test suite checks against explicitly built H and B.
 
     Noise is i.i.d. circular complex Gaussian with variance real.noise_var,
     drawn from noise_seed. The seed may be omitted only for the noiseless
@@ -104,17 +108,15 @@ def apply_block_channel(s: IqSequence, real: ChannelRealization, noise_seed=None
     tail = np.zeros(l - 1, dtype=complex)
     for blk in range(k):
         seg = x[blk * t:(blk + 1) * t]
-        ext = np.concatenate([tail, seg]) if l > 1 else seg
-        conv = np.convolve(ext, real.taps[blk])
+        conv = np.convolve(np.concatenate([tail, seg]), real.taps[blk])
         out[blk * t:(blk + 1) * t] = conv[l - 1:l - 1 + t]
-        if l > 1:
-            tail = seg[t - (l - 1):]
+        tail = seg[t - (l - 1):]
 
     if real.noise_var > 0:
         if noise_seed is None:
             raise ConfigError("noise_seed is required when noise_var > 0")
         rng = np.random.default_rng(noise_seed)
         sigma = math.sqrt(real.noise_var / 2.0)
-        out = out + sigma * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
+        out += sigma * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
 
     return IqSequence(samples=out)

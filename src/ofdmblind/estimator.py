@@ -243,8 +243,8 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     smallest eigenvalues hold the least energy wins, ties going to the
     smallest N'; the reported estimate is N' - P. For L > P the rank
     theorem predicts no missing rank: nothing is scored and the smallest
-    candidate is reported. A stream too short for the largest candidate, or
-    one holding a NaN or infinite sample, raises DataError.
+    candidate is reported. A stream that is not 1-D, too short for the
+    largest candidate or holding a NaN or infinite sample raises DataError.
 
     The scan runs on the stream scaled by the power of two 2^-e that puts
     its largest real or imaginary part in [0.5, 1); each spectrum is scaled
@@ -253,6 +253,8 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     range. An all-zero stream reports the smallest candidate.
     """
     x = _samples(r)
+    if x.ndim != 1:
+        raise DataError(f"the stream must be 1-D, got shape {x.shape}")
     worst = cfg.candidates[-1]
     if len(x) < worst * worst:
         raise DataError(

@@ -97,21 +97,16 @@ def point_configs(spec: SweepSpec, axis_value):
     """Derive the per-point config bundle with the axis value applied."""
     ofdm = spec.ofdm
     num_taps, snr_db = spec.num_taps, spec.snr_db
-    cp_len = ofdm.cp_len
     if spec.axis == "snr_db":
         snr_db = float(axis_value)
     elif spec.axis == "num_taps":
         num_taps = int(axis_value)
-    elif spec.axis == "n_subcarriers":
-        ofdm = replace(ofdm, n_subcarriers=int(axis_value))
-    elif spec.axis == "mod_order":
-        ofdm = replace(ofdm, mod_order=int(axis_value))
     else:
-        cp_len = int(axis_value)
-        ofdm = replace(ofdm, cp_len=cp_len)
+        # the other three axes are named after their OfdmConfig field
+        ofdm = replace(ofdm, **{spec.axis: int(axis_value)})
     chan = ChannelConfig(num_taps=num_taps, snr_db=snr_db)
     est = EstimatorConfig(
-        cp_len=cp_len, num_taps=num_taps, n_min=spec.n_min, n_max=spec.n_max
+        cp_len=ofdm.cp_len, num_taps=num_taps, n_min=spec.n_min, n_max=spec.n_max
     )
     return ofdm, chan, est
 
@@ -149,41 +144,25 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Run every (axis value, trial) pair and aggregate Pd per point.
 
     Trials run on a pool of `workers` threads (at least one); each one is
-    a pure function of its seed tuple, and aggregation is a commutative
-    count, so the worker count cannot change the result.
+    a pure function of its seed tuple, and the pool returns outcomes in
+    seed order, point by point, so the worker count cannot change them.
     """
     from . import __version__
 
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
 
-    jobs = []
-    for axis_index, value in enumerate(spec.axis_values):
-        bundle = point_configs(spec, value)
-        for trial_index in range(spec.trials):
-            seed = (spec.master_seed, axis_index, trial_index)
-            jobs.append((axis_index, bundle, seed))
-
-    def one(job):
-        _, bundle, seed = job
-        return run_trial(*bundle, seed)
-
+    trials = spec.trials
+    bundles = [point_configs(spec, value) for value in spec.axis_values]
+    seeds = [(spec.master_seed, i, t) for i in range(len(bundles)) for t in range(trials)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(one, jobs))
-
-    wins = [0] * len(spec.axis_values)
-    for (axis_index, _, _), ok in zip(jobs, outcomes):
-        wins[axis_index] += ok
-    points = tuple(
-        SweepPoint(
-            axis_value=value,
-            pd=wins[i] / spec.trials,
-            trials=spec.trials,
-            ci_halfwidth=wilson_halfwidth(wins[i], spec.trials),
-        )
-        for i, value in enumerate(spec.axis_values)
-    )
-    return SweepResult(points=points, spec=spec, version=__version__)
+        outcomes = list(pool.map(lambda seed: run_trial(*bundles[seed[1]], seed), seeds))
+    points = []
+    for i, value in enumerate(spec.axis_values):
+        wins = sum(outcomes[i * trials:(i + 1) * trials])
+        points.append(SweepPoint(axis_value=value, pd=wins / trials, trials=trials,
+                                 ci_halfwidth=wilson_halfwidth(wins, trials)))
+    return SweepResult(points=tuple(points), spec=spec, version=__version__)
 
 
 def emit_csv(result: SweepResult, path) -> None:

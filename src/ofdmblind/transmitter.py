@@ -2,10 +2,10 @@
 
 The chain is the textbook one: symbols are drawn uniformly from a
 Gray-ordered square-QAM table, each block of M symbol vectors passes
-through a unitary IDFT, a cyclic prefix of P samples is prepended to
-every time-domain symbol, and the resulting (N+P) x M blocks are
-serialized column by column into one long baseband stream of K*T
-samples, T = M*(N+P).
+through a unitary IDFT, and every time-domain symbol of N samples is
+preceded by a cyclic prefix, a copy of its last P samples. The stream
+is one K x M x (N+P) array, block by block and symbol by symbol, so
+read flat it is the baseband stream of K*T samples, T = M*(N+P).
 
 Also houses the raw IQ file format used at the process boundary:
 little-endian complex64 samples, that is interleaved float32 (re, im)
@@ -109,41 +109,38 @@ def idft_apply(freq_block: np.ndarray) -> np.ndarray:
     return np.fft.ifft(freq_block, axis=0, norm="ortho")
 
 
-def build_cp_block(freq_block: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
-    """IDFT an N x M block and prepend the cyclic prefix.
-
-    Output is (N+P) x M; by construction row i equals row i+N for
-    i = 0..P-1 (0-based), which is the redundancy the estimator exploits.
-    The caller passes an N x M array, as generate_stream draws it.
-    """
-    n, p = cfg.n_subcarriers, cfg.cp_len
-    time_block = idft_apply(freq_block)
-    return np.vstack([time_block[n - p:, :], time_block])
-
-
 def generate_stream(cfg: OfdmConfig, seed) -> IqSequence:
     """Generate the full K-block transmit stream from a seeded RNG.
 
     `seed` is anything numpy's default_rng accepts (int, SeedSequence,
     Generator). Each symbol is a uniform draw of an index into
     qam_constellation, the same as Gray-mapping i.i.d. uniform bits.
+    Row j of a block is symbol j: its N IDFT samples, column j of the
+    block's IDFT, are written after a P-sample slot that then receives
+    their last P samples, so each symbol is written into the stream once.
     """
     rng = np.random.default_rng(seed)
     points = qam_constellation(cfg.mod_order)
-    blocks = []
-    for _ in range(cfg.num_blocks):
-        idx = rng.integers(0, cfg.mod_order, size=(cfg.n_subcarriers, cfg.symbols_per_block))
-        # column by column: symbol after symbol
-        blocks.append(build_cp_block(points[idx], cfg).ravel(order="F"))
-    return IqSequence(samples=np.concatenate(blocks))
+    n, p, m = cfg.n_subcarriers, cfg.cp_len, cfg.symbols_per_block
+    stream = np.empty((cfg.num_blocks, m, cfg.symbol_len), dtype=complex)
+    for block in stream:
+        block[:, p:] = idft_apply(points[rng.integers(0, cfg.mod_order, size=(n, m))]).T
+        block[:, :p] = block[:, n:]
+    return IqSequence(samples=stream.reshape(-1))
 
 
 # --- raw IQ file format -------------------------------------------------
 
 def write_iq_file(path, samples: np.ndarray) -> int:
-    """Write samples as little-endian complex64; returns the sample count."""
-    arr = np.asarray(samples, dtype=complex)
-    arr.astype("<c8").tofile(path)
+    """Write samples as little-endian complex64; returns the sample count.
+
+    A finite part beyond complex64's range raises DataError, writing nothing."""
+    arr = np.ascontiguousarray(samples, dtype=complex)
+    with np.errstate(over="ignore"):
+        raw = arr.astype("<c8")
+    if np.any(np.isfinite(arr.view(np.float64)) & ~np.isfinite(raw.view("<f4"))):
+        raise DataError(f"{path}: a sample part exceeds the complex64 range")
+    raw.tofile(path)
     return len(arr)
 
 

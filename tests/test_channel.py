@@ -51,6 +51,15 @@ class TestChannelConfig:
         with pytest.raises(ConfigError, match="nan"):
             ChannelConfig(num_taps=2, snr_db=float("nan"))
 
+    @pytest.mark.parametrize("snr_db", [-np.inf, -1e308, -3100.0, -3083.0])
+    def test_snr_without_finite_noise_power_rejected(self, snr_db):
+        with pytest.raises(ConfigError, match="finite noise power"):
+            ChannelConfig(num_taps=2, snr_db=snr_db)
+
+    def test_lowest_snr_with_finite_noise_power_accepted(self):
+        assert ChannelConfig(num_taps=2, snr_db=-3082.0).snr_db == -3082.0
+        assert calibrate_noise(-3082.0) < np.inf
+
 
 class TestCalibrateNoise:
     @pytest.mark.parametrize("snr_db,expected", [
@@ -99,8 +108,10 @@ class TestDrawRealization:
             draw_realization(cfg, 0, seed=0)
 
     def test_negative_noise_var_rejected(self):
-        with pytest.raises(ConfigError):
-            ChannelRealization(taps=np.zeros((1, 2)), noise_var=-0.1)
+        # and a NaN one, which would pass as noise-free, and an infinite one
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="noise_var"):
+                ChannelRealization(taps=np.zeros((1, 2)), noise_var=bad)
 
     def test_callers_taps_stay_writeable(self):
         taps = np.ones((2, 3), dtype=complex)

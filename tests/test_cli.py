@@ -77,6 +77,24 @@ class TestGenerate:
         assert "snr_db" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr", ["-inf", "-3100"])
+    def test_snr_without_finite_noise_power_exits_one(self, tmp_path, capsys, snr):
+        out = tmp_path / "x.iq"
+        rc = run(["generate", f"--snr-db={snr}", "--out", str(out)])
+        assert rc == 1
+        assert_one_error_naming(capsys.readouterr().err, "snr_db")
+        assert not out.exists()
+
+    def test_capture_beyond_complex64_exits_two(self, tmp_path, capsys):
+        # the noise at -800 dB is about 1e40, past the float32 range
+        out = tmp_path / "x.iq"
+        with np.errstate(over="raise"):
+            rc = run(["generate", "--snr-db=-800", "--out", str(out)])
+        assert rc == 2
+        assert_one_error_naming(capsys.readouterr().err, "complex64")
+        assert not out.exists()
+        assert not (tmp_path / "x.iq.meta").exists()
+
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.iq", tmp_path / "b.iq"
         common = ["generate", "--n", "8", "--cp", "3", "--symbols", "10",
@@ -212,6 +230,16 @@ class TestSweep:
         rc = run(["sweep", "--spec", str(spec), "--section", "quick", "--out", str(out)])
         assert rc == 1
         assert "N'=43 needs 1849 samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_negative_snr_point_exits_one(self, tmp_path, capsys):
+        # rejected when the spec is read, not mid-sweep
+        spec = tmp_path / "sweeps.ini"
+        spec.write_text(SPEC_TEXT.replace("axis_values = 0, 10", "axis_values = -inf, 10"))
+        out = tmp_path / "x.csv"
+        rc = run(["sweep", "--spec", str(spec), "--section", "quick", "--out", str(out)])
+        assert rc == 1
+        assert_one_error_naming(capsys.readouterr().err, "snr_db=-inf")
         assert not out.exists()
 
     def test_missing_spec_file_exits_two(self, tmp_path, capsys):

@@ -333,6 +333,13 @@ class TestEstimateN:
         with pytest.raises(DataError, match="361"):
             estimate_n(np.zeros(100, dtype=complex), cfg)
 
+    @pytest.mark.parametrize("shape", [(2000, 2), (4000, 1), (1, 4000)], ids=str)
+    def test_stream_not_1d_rejected(self, shape):
+        # a (4000, 1) column used to pass, and (2000, 2) died in segment
+        cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=12)
+        with pytest.raises(DataError, match=rf"1-D, got shape \({shape[0]}, {shape[1]}\)"):
+            estimate_n(np.ones(shape, dtype=complex), cfg)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
     def test_non_finite_sample_rejected(self, bad):
         x = noisy_stream(8, 3, 2, m=30, k=2, seed=8, snr_db=20.0).samples.copy()

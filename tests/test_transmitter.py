@@ -8,7 +8,6 @@ from ofdmblind.errors import ConfigError, DataError
 from ofdmblind.transmitter import (
     IqSequence,
     OfdmConfig,
-    build_cp_block,
     generate_stream,
     qam_constellation,
     read_iq_file,
@@ -100,31 +99,6 @@ class TestMapQam:
         }[mod]
 
 
-class TestBuildCpBlock:
-    def test_two_point_prefix_layout(self):
-        # time column [a, b] with full-length CP gives [a, b, a, b]
-        cfg = OfdmConfig(n_subcarriers=2, cp_len=2, symbols_per_block=1, num_blocks=1)
-        freq = np.array([[1.0], [1.0]])
-        out = build_cp_block(freq, cfg)
-        time = np.array([np.sqrt(2), 0.0])
-        assert out[:, 0] == pytest.approx(np.concatenate([time, time]))
-
-    def test_prefix_rows_copied_bitwise(self):
-        cfg = OfdmConfig(n_subcarriers=8, cp_len=3, symbols_per_block=5, num_blocks=1)
-        rng = np.random.default_rng(0)
-        freq = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-        out = build_cp_block(freq, cfg)
-        assert out.shape == (11, 5)
-        assert np.array_equal(out[:3, :], out[8:, :])
-
-    def test_single_row_prefix(self):
-        cfg = OfdmConfig(n_subcarriers=4, cp_len=1, symbols_per_block=2, num_blocks=1)
-        rng = np.random.default_rng(1)
-        freq = rng.standard_normal((4, 2)) + 0j
-        out = build_cp_block(freq, cfg)
-        assert np.array_equal(out[0, :], out[4, :])
-
-
 class TestSerializeBlock:
     """generate_stream serializes each CP block column by column."""
 
@@ -180,14 +154,12 @@ class TestGenerateStream:
             for i in range(cfg.cp_len):
                 assert s[start + i] == s[start + i + cfg.n_subcarriers]
 
-    def test_parseval_per_column(self):
-        cfg = OfdmConfig(n_subcarriers=16, cp_len=2, symbols_per_block=6, num_blocks=1)
-        rng = np.random.default_rng(9)
-        freq = rng.standard_normal((16, 6)) + 1j * rng.standard_normal((16, 6))
-        out = build_cp_block(freq, cfg)
-        time_energy = np.sum(np.abs(out[2:, :]) ** 2, axis=0)
-        freq_energy = np.sum(np.abs(freq) ** 2, axis=0)
-        assert time_energy == pytest.approx(freq_energy, rel=1e-10)
+    def test_two_point_prefix_layout(self):
+        # N = P = 2: the full-length CP repeats each symbol, [a, b, a, b]
+        cfg = OfdmConfig(n_subcarriers=2, cp_len=2, symbols_per_block=3, num_blocks=2)
+        symbols = generate_stream(cfg, 4).samples.reshape(-1, 4)
+        assert np.array_equal(symbols[:, :2], symbols[:, 2:])
+        assert on_constellation(np.fft.fft(symbols[:, 2:], axis=1, norm="ortho"), 4)
 
     def test_callers_samples_stay_writeable(self):
         x = np.zeros(4, dtype=complex)
@@ -215,6 +187,14 @@ class TestIqFiles:
         np.zeros(5, dtype="<f4").tofile(path)
         with pytest.raises(DataError):
             read_iq_file(path)
+
+    @pytest.mark.parametrize("big", [complex(1e39, 0), complex(0, -4e38)])
+    def test_part_beyond_complex64_rejected(self, tmp_path, big):
+        # it would be stored as an infinite part
+        path = tmp_path / "big.iq"
+        with pytest.raises(DataError, match="complex64"):
+            write_iq_file(path, np.array([1.0, big, complex(np.inf, 0)]))
+        assert not path.exists()
 
     def test_non_finite_parts_round_trip(self, tmp_path):
         # each part is stored on its own, so a non-finite or signed-zero
