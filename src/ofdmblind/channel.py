@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .transmitter import IqSequence
 
 
@@ -50,8 +50,8 @@ class ChannelRealization:
         arr = np.asarray(self.taps, dtype=complex).view()
         arr.flags.writeable = False
         object.__setattr__(self, "taps", arr)
-        if arr.ndim != 2:
-            raise ConfigError(f"taps must be K x L, got shape {arr.shape}")
+        if arr.ndim != 2 or 0 in arr.shape:
+            raise ConfigError(f"taps must be K x L with K, L >= 1, got shape {arr.shape}")
         if not 0.0 <= self.noise_var < math.inf:
             raise ConfigError(f"noise_var must be finite and >= 0, got {self.noise_var}")
 
@@ -96,6 +96,8 @@ def apply_block_channel(s: IqSequence, real: ChannelRealization, noise_seed=None
     case, so silent noise reuse across trials is impossible.
     """
     x = s.samples if isinstance(s, IqSequence) else np.asarray(s, dtype=complex)
+    if x.ndim != 1:
+        raise DataError(f"the stream must be 1-D, got shape {x.shape}")
     k = real.num_blocks
     if len(x) % k != 0:
         raise ConfigError(f"stream length {len(x)} is not divisible into {k} blocks")

@@ -9,7 +9,7 @@ from ofdmblind.channel import (
     calibrate_noise,
     draw_realization,
 )
-from ofdmblind.errors import ConfigError
+from ofdmblind.errors import ConfigError, DataError
 from ofdmblind.transmitter import IqSequence, OfdmConfig, generate_stream
 
 
@@ -113,6 +113,14 @@ class TestDrawRealization:
             with pytest.raises(ConfigError, match="noise_var"):
                 ChannelRealization(taps=np.zeros((1, 2)), noise_var=bad)
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 3)], ids=str)
+    def test_empty_taps_rejected(self, shape):
+        # (2, 0) used to die in apply_block_channel's np.zeros(l - 1),
+        # (0, 3) in its division into zero blocks
+        with pytest.raises(ConfigError, match=rf"K, L >= 1, got shape \({shape[0]}, {shape[1]}\)"):
+            apply_block_channel(np.ones(8, dtype=complex),
+                                ChannelRealization(taps=np.ones(shape), noise_var=0.0))
+
     def test_callers_taps_stay_writeable(self):
         taps = np.ones((2, 3), dtype=complex)
         real = ChannelRealization(taps=taps, noise_var=0.0)
@@ -204,3 +212,11 @@ class TestApplyBlockChannel:
         real = ChannelRealization(taps=np.ones((2, 6)), noise_var=0.0)
         with pytest.raises(ConfigError):
             apply_block_channel(np.ones(10, dtype=complex), real)
+
+    @pytest.mark.parametrize("taps", [1, 3])
+    @pytest.mark.parametrize("shape", [(40, 1), (20, 2)], ids=str)
+    def test_stream_not_1d_rejected(self, shape, taps):
+        # numpy's "same number of dimensions" ValueError used to escape
+        real = ChannelRealization(taps=np.ones((2, taps)), noise_var=0.0)
+        with pytest.raises(DataError, match=rf"1-D, got shape \({shape[0]}, {shape[1]}\)"):
+            apply_block_channel(np.ones(shape, dtype=complex), real)

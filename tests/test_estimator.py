@@ -5,6 +5,9 @@ rank claims against an SVD oracle, and duplicate rows against brute-force
 row comparison on noise-free faded streams.
 """
 import math
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from ofdmblind.estimator import (
     duplicate_row_pairs,
     estimate_n,
     floor_ratio,
+    hermitian_eigenvalues,
     mdl,
     rank_oracle_noise_free,
     segment,
@@ -349,10 +353,13 @@ class TestEstimateN:
             estimate_n(x, cfg)
 
     @staticmethod
-    def fig2_capture():
-        # the 10 dB point of the fig2 desk preset, seeded as
+    def fig2_capture(scale="desk", taps=None):
+        # the 10 dB point of a fig2 preset, seeded as
         # `ofdmblind generate --seed 3` seeds it
-        ofdm, chan, est = point_configs(load_preset("fig2"), 10.0)
+        spec = load_preset("fig2", scale)
+        if taps is not None:
+            spec = replace(spec, num_taps=taps)
+        ofdm, chan, est = point_configs(spec, 10.0)
         data_ss, chan_ss, noise_ss = np.random.SeedSequence(3).spawn(3)
         real = draw_realization(chan, ofdm.num_blocks, chan_ss)
         r = apply_block_channel(generate_stream(ofdm, data_ss), real, noise_ss)
@@ -411,6 +418,167 @@ class TestEstimateN:
             assert floor_ratio(lam, len(x) // n_prime, missing) == ratio
         best = min(report.floor_ratios, key=report.floor_ratios.get)
         assert report.n_hat == best - cfg.cp_len
+
+
+class TestParallelScan:
+    """estimate_n splits its candidates over one thread per free core; a
+    plain serial loop over the same steps is the reference it must equal
+    bitwise, whatever the number of cores."""
+
+    @staticmethod
+    def serial_scan(x, cfg):
+        x = np.asarray(x, dtype=complex)
+        e = math.frexp(np.max(np.abs(x.view(np.float64))))[1]
+        x = np.ldexp(x.view(np.float64), -e).view(complex)
+        missing = cfg.cp_len - cfg.num_taps + 1
+        ratios, spectra = {}, {}
+        for n_prime in cfg.candidates:
+            seg = segment(x, n_prime)
+            lam = hermitian_eigenvalues(covariance(seg))
+            if missing > 0:
+                ratios[n_prime] = floor_ratio(lam, seg.shape[1], missing)
+            spectra[n_prime] = np.ldexp(lam, 2 * e)
+        best = min(ratios, key=ratios.get, default=cfg.candidates[0])
+        return best - cfg.cp_len, ratios, spectra
+
+    @staticmethod
+    def free_cores(sem, cores):
+        """How many of `cores` slots `sem` has free, leaving them free."""
+        free = 0
+        while free < cores + 1 and sem.acquire(blocking=False):
+            free += 1
+        if free:
+            sem.release(free)
+        return free
+
+    @staticmethod
+    def on_cores(monkeypatch, cores, min_samples=0):
+        """Give estimate_n `cores` free cores and fan out from `min_samples`
+        samples on; returns the threads that segment."""
+        monkeypatch.setattr(estimator, "_FREE_CORES", threading.Semaphore(cores))
+        monkeypatch.setattr(estimator, "PARALLEL_MIN_SAMPLES", min_samples)
+        threads = set()
+        inner = estimator.segment
+
+        def traced(x, n_prime):
+            threads.add(threading.get_ident())
+            return inner(x, n_prime)
+        monkeypatch.setattr(estimator, "segment", traced)
+        return threads
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    @pytest.mark.parametrize("scale, taps", [("desk", None), ("paper", None), ("desk", 9)],
+                             ids=["desk", "paper", "desk-taps-beyond-cp"])
+    def test_equals_serial_scan(self, monkeypatch, scale, taps, cores):
+        x, est = TestEstimateN.fig2_capture(scale, taps)
+        n_hat, ratios, spectra = self.serial_scan(x, est)
+        before = threading.active_count()
+        threads = self.on_cores(monkeypatch, cores)
+        report = estimate_n(x, est)
+        assert threading.active_count() == before
+        assert self.free_cores(estimator._FREE_CORES, cores) == cores
+        # a pool thread that finishes its share early may take the next one
+        assert min(cores, 2) <= len(threads) <= cores
+        assert report.n_hat == n_hat
+        assert list(report.floor_ratios.items()) == list(ratios.items())
+        assert list(report.eigen_spectra) == list(spectra)
+        for n_prime, lam in spectra.items():
+            assert report.eigen_spectra[n_prime].tobytes() == lam.tobytes()
+        if taps is None:
+            assert n_hat == 32 if scale == "desk" else n_hat == 64
+        else:
+            # L > P: nothing scored, the smallest candidate reported
+            assert ratios == {} and n_hat == est.n_min
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_tie_goes_to_smaller_candidate(self, monkeypatch, cores):
+        # N' = 11 and 12 tie; on two or three cores they sit in different
+        # shares, the larger one in the calling thread's share on two
+        r = faded_stream(4, 2, 2, m=30, k=2, seed=4)
+        cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=12)
+        self.on_cores(monkeypatch, cores)
+        monkeypatch.setattr(estimator, "floor_ratio",
+                            lambda lam, m_prime, missing: 0.5 if len(lam) in (11, 12) else 1.0)
+        report = estimate_n(r, cfg)
+        assert report.n_hat == 11 - cfg.cp_len
+        assert list(report.floor_ratios) == list(cfg.candidates)
+
+    def test_failing_share_joins_its_helpers(self, monkeypatch):
+        # an error in any share reaches the caller, and no pool thread survives
+        r = faded_stream(4, 2, 2, m=30, k=2, seed=4)
+        cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=12)
+        self.on_cores(monkeypatch, 3)
+
+        def broken(lam, m_prime, missing):
+            if len(lam) == 9:
+                raise RuntimeError("candidate 9")
+            return 1.0
+        monkeypatch.setattr(estimator, "floor_ratio", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="candidate 9"):
+            estimate_n(r, cfg)
+        assert threading.active_count() == before
+        assert self.free_cores(estimator._FREE_CORES, 3) == 3
+
+    def test_no_free_core_scans_in_the_caller(self, monkeypatch):
+        # another scan holds every core: this one fans out no further
+        x, est = TestEstimateN.fig2_capture()
+        n_hat, ratios, spectra = self.serial_scan(x, est)
+        threads = self.on_cores(monkeypatch, 2)
+        assert estimator._FREE_CORES.acquire(blocking=False)
+        assert estimator._FREE_CORES.acquire(blocking=False)
+        try:
+            report = estimate_n(x, est)
+        finally:
+            estimator._FREE_CORES.release(2)
+        assert threads == {threading.get_ident()}
+        assert report.n_hat == n_hat
+        assert list(report.floor_ratios.items()) == list(ratios.items())
+        for n_prime, lam in spectra.items():
+            assert report.eigen_spectra[n_prime].tobytes() == lam.tobytes()
+
+    def test_short_stream_scans_in_the_caller(self, monkeypatch):
+        x, est = TestEstimateN.fig2_capture()
+        threads = self.on_cores(monkeypatch, 2, min_samples=len(x) + 1)
+        report = estimate_n(x, est)
+        assert threads == {threading.get_ident()}
+        assert report.n_hat == 32
+        threads.clear()
+        monkeypatch.setattr(estimator, "PARALLEL_MIN_SAMPLES", len(x))
+        estimate_n(x, est)
+        assert len(threads) == 2
+
+    def test_concurrent_callers(self, monkeypatch):
+        # more callers than cores, switching threads every 10 us: every
+        # report equals the serial one, and every core and thread is returned
+        r = faded_stream(4, 2, 2, m=30, k=2, seed=4).samples
+        cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=12)
+        want = self.serial_scan(r, cfg)
+        self.on_cores(monkeypatch, 2)
+        before = threading.active_count()
+        got = []
+
+        def caller():
+            for _ in range(20):
+                report = estimate_n(r, cfg)
+                got.append((report.n_hat, report.floor_ratios,
+                            [lam.tobytes() for lam in report.eigen_spectra.values()]))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert len(got) == 80
+        want_bytes = [lam.tobytes() for lam in want[2].values()]
+        assert all(g == (want[0], want[1], want_bytes) for g in got)
+        assert threading.active_count() == before
+        assert self.free_cores(estimator._FREE_CORES, 2) == 2
 
 
 class TestDuplicateRows:
