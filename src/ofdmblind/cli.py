@@ -35,6 +35,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as SeedSequence requires."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ofdmblind", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -48,7 +56,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--taps", type=int, default=1, help="channel taps")
     gen.add_argument("--snr-db", type=float, default=float("inf"),
                      help="SNR in dB; inf means noise-free")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=seed, default=0)
     gen.add_argument("--out", required=True, help="output IQ file path")
 
     est = sub.add_parser("estimate", help="estimate the subcarrier count from an IQ file")
@@ -75,7 +83,7 @@ def _build_parser() -> _Parser:
     rnk.add_argument("--taps", type=int, default=2)
     rnk.add_argument("--symbols", type=int, default=2)
     rnk.add_argument("--blocks", type=int, default=2)
-    rnk.add_argument("--seed", type=int, default=0)
+    rnk.add_argument("--seed", type=seed, default=0)
     return parser
 
 
@@ -114,7 +122,7 @@ def cmd_estimate(args) -> int:
             for n_prime, ratio in report.floor_ratios.items():
                 curve = mdl(report.eigen_spectra[n_prime], len(samples) // n_prime)
                 miss = abs(curve.zeta_hat - (n_prime - missing))
-                fh.write(f"{n_prime} {ratio:.6g} {curve.zeta_hat} {miss} "
+                fh.write(f"{n_prime} {ratio!r} {curve.zeta_hat} {miss} "
                          f"{float(np.min(curve.values)):.6g}\n")
     print(report.n_hat)
     return 0

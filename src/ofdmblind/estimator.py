@@ -39,17 +39,18 @@ by a power of two. For L > P the rank theorem predicts no missing rank,
 so nothing is scored and the smallest candidate is reported.
 
 The candidates are independent, so estimate_n scans a long stream on
-every core of the process that no other scan occupies: with s such
-cores the calling thread takes every s-th candidate, and one pool thread
-per further core takes each other interleaved share. The covariance is a
-BLAS call that releases the interpreter lock, so one share's covariance
-overlaps another's eigenvalue step; on a short stream that overlap is
-too brief to pay for handing the lock between threads, and the calling
-thread scans alone. Concurrent scans, such as the trials of a threaded
-sweep, already fill the cores and fan out no further. The results are
-merged back into scan order before the decision, and every candidate's
-arithmetic is the same in any thread, so the report does not depend on
-how many cores there are or how busy they are.
+every core the process may run on: with c cores the calling thread
+takes every c-th candidate, and one pool thread per further core takes
+each other interleaved share. The covariance is a BLAS call that
+releases the interpreter lock, so one share's covariance overlaps
+another's eigenvalue step; on a short stream that overlap is too brief
+to pay for handing the lock between threads, and the calling thread
+scans alone. Concurrent scans, such as the trials of a threaded sweep,
+each fan out in the same way and share the cores through the operating
+system's scheduler. The shares return spectra only; they are merged
+back into scan order and every floor ratio is computed there, in the
+calling thread, so the report does not depend on how many cores there
+are or how busy they are.
 
 The floor ratio is the only statistic the scan computes. The MDL curve
 of a spectrum,
@@ -67,7 +68,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -102,13 +102,9 @@ RANK_REL_TOL = 1e-9
 # ms alone and 27-32 ms on two threads.
 PARALLEL_MIN_SAMPLES = 1 << 17
 
-# Cores of this process that no candidate scan occupies. Every scanning
-# thread holds one, taken without blocking, so concurrent estimate_n
-# calls, such as run_sweep's trials, fan out only into idle cores.
-# Platforms without an affinity call count every core.
-_FREE_CORES = threading.Semaphore(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
+# Cores this process may run on; platforms without an affinity call
+# count every core.
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -266,17 +262,9 @@ def mdl(spectrum, m_prime: int) -> MdlCurve:
     return MdlCurve(values=values, zeta_hat=int(np.argmin(values)) + 1)
 
 
-def _scan(x: np.ndarray, share, missing: int) -> dict:
-    """Spectrum and floor ratio of each candidate in `share`: N' -> (lam, ratio).
-
-    The ratio is None when `missing` < 1, where nothing is scored.
-    """
-    scanned = {}
-    for n_prime in share:
-        seg = segment(x, n_prime)
-        lam = hermitian_eigenvalues(covariance(seg))
-        scanned[n_prime] = lam, floor_ratio(lam, seg.shape[1], missing) if missing > 0 else None
-    return scanned
+def _scan(x: np.ndarray, share) -> dict:
+    """The descending spectrum of each candidate in `share`: N' -> lam."""
+    return {n_prime: hermitian_eigenvalues(covariance(segment(x, n_prime))) for n_prime in share}
 
 
 def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
@@ -293,11 +281,12 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
 
     A stream of PARALLEL_MIN_SAMPLES or more is split into one
     interleaved share of candidates per core the process may run on
-    (os.sched_getaffinity) that no other estimate_n call is scanning on,
-    or into one share when none is free. The calling thread scans the
-    first share and a thread pool, joined before this returns, the others.
-    A shorter stream is scanned in the calling thread alone. The report,
-    the order of its dicts included, is the same for any number of cores.
+    (CORES), at most one per candidate. The calling thread scans the
+    first share and a thread pool, joined before this returns, the
+    others; concurrent calls each fan out alike. A shorter stream is
+    scanned in the calling thread alone. The shares return spectra, and
+    the calling thread scores them in scan order, so the report, the
+    order of its dicts included, is the same for any number of cores.
 
     The scan runs on the stream scaled by the power of two 2^-e that puts
     its largest real or imaginary part in [0.5, 1); each spectrum is scaled
@@ -318,35 +307,21 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
         raise DataError("the stream holds NaN or infinite samples")
     e = math.frexp(peak)[1]
     x = np.ldexp(x.view(np.float64), -e).view(complex)
-    missing = cfg.cp_len - cfg.num_taps + 1
     cands = cfg.candidates
-    held = 0
-    try:
-        # a long stream takes one share per free core, else one share
-        wanted = len(cands) if len(x) >= PARALLEL_MIN_SAMPLES else 1
-        while held < wanted and _FREE_CORES.acquire(blocking=False):
-            held += 1
-        shares = max(held, 1)
-        # Interleaved shares balance the work, which grows with N'. The
-        # pool starts one thread per submitted share, so shares - 1 at
-        # most, and leaving the block joins them.
-        with ThreadPoolExecutor(shares) as pool:
-            helpers = [pool.submit(_scan, x, cands[i::shares], missing)
-                       for i in range(1, shares)]
-            scanned = _scan(x, cands[0::shares], missing)
-            for helper in helpers:
-                scanned.update(helper.result())
-    finally:
-        if held:
-            _FREE_CORES.release(held)
-    ratios, spectra = {}, {}
-    for n_prime in cands:
-        lam, ratio = scanned[n_prime]
-        if missing > 0:
-            ratios[n_prime] = ratio
-        spectra[n_prime] = np.ldexp(lam, 2 * e)
+    # Interleaved shares balance the work, which grows with N'. The pool
+    # starts one thread per submitted share, so shares - 1 at most, and
+    # leaving the block joins them.
+    shares = min(CORES, len(cands)) if len(x) >= PARALLEL_MIN_SAMPLES else 1
+    with ThreadPoolExecutor(shares) as pool:
+        helpers = [pool.submit(_scan, x, cands[i::shares]) for i in range(1, shares)]
+        scanned = _scan(x, cands[0::shares])
+        for helper in helpers:
+            scanned.update(helper.result())
+    missing = cfg.cp_len - cfg.num_taps + 1
+    ratios = {n: floor_ratio(scanned[n], len(x) // n, missing) for n in cands if missing > 0}
+    spectra = {n: np.ldexp(scanned[n], 2 * e) for n in cands}
     # the first minimum in scan order, so ties go to the smallest N'
-    best = min(ratios, key=ratios.get, default=cfg.candidates[0])
+    best = min(ratios, key=ratios.get, default=cands[0])
     return EstimateReport(n_hat=best - cfg.cp_len, floor_ratios=ratios, eigen_spectra=spectra)
 
 

@@ -56,6 +56,8 @@ class SweepSpec:
             raise ConfigError("axis_values must be non-empty")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         # the label names the provenance sidecar's section, which must read back
         label = self.label
         if label in ("", "DEFAULT") or not label.isascii() or "\n" in label or "\r" in label:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ofdmblind.cli import main
+from ofdmblind.estimator import EstimatorConfig, estimate_n
+from ofdmblind.transmitter import read_iq_file
 
 SPEC_TEXT = """\
 [quick]
@@ -95,6 +97,15 @@ class TestGenerate:
         assert not out.exists()
         assert not (tmp_path / "x.iq.meta").exists()
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "x.iq"
+        with pytest.raises(SystemExit) as err:
+            run(["generate", "--seed", "-1", "--out", str(out)])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: argument --seed: seed must be >= 0, got -1")
+        assert not out.exists()
+
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.iq", tmp_path / "b.iq"
         common = ["generate", "--n", "8", "--cp", "3", "--symbols", "10",
@@ -132,6 +143,10 @@ class TestEstimate:
         # the floor ratio decides: its smallest row is the chosen N' = 8 + 3
         rows = [line.split() for line in lines[1:]]
         assert min(rows, key=lambda row: float(row[1]))[0] == "11"
+        # each ratio is written exactly, so comparing reports compares bits
+        cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=12)
+        report = estimate_n(read_iq_file(out), cfg)
+        assert [(int(row[0]), float(row[1])) for row in rows] == list(report.floor_ratios.items())
 
     def test_truncated_file_exits_two(self, tmp_path, capsys):
         short = tmp_path / "short.iq"
@@ -242,6 +257,16 @@ class TestSweep:
         assert_one_error_naming(capsys.readouterr().err, "snr_db=-inf")
         assert not out.exists()
 
+    def test_negative_master_seed_exits_one(self, tmp_path, capsys):
+        # rejected when the spec is read, not mid-sweep in a pool thread
+        spec = tmp_path / "sweeps.ini"
+        spec.write_text(SPEC_TEXT.replace("master_seed = 7", "master_seed = -1"))
+        out = tmp_path / "x.csv"
+        rc = run(["sweep", "--spec", str(spec), "--section", "quick", "--out", str(out)])
+        assert rc == 1
+        assert_one_error_naming(capsys.readouterr().err, "master_seed must be >= 0, got -1")
+        assert not out.exists()
+
     def test_missing_spec_file_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "none.ini"
         rc = run(["sweep", "--spec", str(missing), "--out", str(tmp_path / "x.csv")])
@@ -284,6 +309,13 @@ class TestRankCheck:
     def test_taps_beyond_cp_exits_one(self, capsys):
         rc = run(["rank-check", "--taps", "3", "--cp", "2"])
         assert rc == 1
+
+    def test_negative_seed_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["rank-check", "--seed", "-1"])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: argument --seed: seed must be >= 0, got -1")
 
     def test_stream_shorter_than_segment_squared_exits_one(self, monkeypatch, capsys):
         # N+P = 10 needs 100 samples; 2 blocks of 2 symbols hold 40. The

@@ -421,7 +421,7 @@ class TestEstimateN:
 
 
 class TestParallelScan:
-    """estimate_n splits its candidates over one thread per free core; a
+    """estimate_n splits its candidates over one thread per core; a
     plain serial loop over the same steps is the reference it must equal
     bitwise, whatever the number of cores."""
 
@@ -442,20 +442,10 @@ class TestParallelScan:
         return best - cfg.cp_len, ratios, spectra
 
     @staticmethod
-    def free_cores(sem, cores):
-        """How many of `cores` slots `sem` has free, leaving them free."""
-        free = 0
-        while free < cores + 1 and sem.acquire(blocking=False):
-            free += 1
-        if free:
-            sem.release(free)
-        return free
-
-    @staticmethod
     def on_cores(monkeypatch, cores, min_samples=0):
-        """Give estimate_n `cores` free cores and fan out from `min_samples`
+        """Give estimate_n `cores` cores and fan out from `min_samples`
         samples on; returns the threads that segment."""
-        monkeypatch.setattr(estimator, "_FREE_CORES", threading.Semaphore(cores))
+        monkeypatch.setattr(estimator, "CORES", cores)
         monkeypatch.setattr(estimator, "PARALLEL_MIN_SAMPLES", min_samples)
         threads = set()
         inner = estimator.segment
@@ -476,7 +466,6 @@ class TestParallelScan:
         threads = self.on_cores(monkeypatch, cores)
         report = estimate_n(x, est)
         assert threading.active_count() == before
-        assert self.free_cores(estimator._FREE_CORES, cores) == cores
         # a pool thread that finishes its share early may take the next one
         assert min(cores, 2) <= len(threads) <= cores
         assert report.n_hat == n_hat
@@ -504,38 +493,26 @@ class TestParallelScan:
         assert list(report.floor_ratios) == list(cfg.candidates)
 
     def test_failing_share_joins_its_helpers(self, monkeypatch):
-        # an error in any share reaches the caller, and no pool thread survives
+        # an error in a helper's share reaches the caller, and no pool
+        # thread survives: on three cores N' = 9 sits in the third share
         r = faded_stream(4, 2, 2, m=30, k=2, seed=4)
         cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=12)
-        self.on_cores(monkeypatch, 3)
+        threads = self.on_cores(monkeypatch, 3)
+        inner = estimator.hermitian_eigenvalues
+        failed_in = []
 
-        def broken(lam, m_prime, missing):
-            if len(lam) == 9:
+        def broken(m):
+            if len(m) == 9:
+                failed_in.append(threading.get_ident())
                 raise RuntimeError("candidate 9")
-            return 1.0
-        monkeypatch.setattr(estimator, "floor_ratio", broken)
+            return inner(m)
+        monkeypatch.setattr(estimator, "hermitian_eigenvalues", broken)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="candidate 9"):
             estimate_n(r, cfg)
         assert threading.active_count() == before
-        assert self.free_cores(estimator._FREE_CORES, 3) == 3
-
-    def test_no_free_core_scans_in_the_caller(self, monkeypatch):
-        # another scan holds every core: this one fans out no further
-        x, est = TestEstimateN.fig2_capture()
-        n_hat, ratios, spectra = self.serial_scan(x, est)
-        threads = self.on_cores(monkeypatch, 2)
-        assert estimator._FREE_CORES.acquire(blocking=False)
-        assert estimator._FREE_CORES.acquire(blocking=False)
-        try:
-            report = estimate_n(x, est)
-        finally:
-            estimator._FREE_CORES.release(2)
-        assert threads == {threading.get_ident()}
-        assert report.n_hat == n_hat
-        assert list(report.floor_ratios.items()) == list(ratios.items())
-        for n_prime, lam in spectra.items():
-            assert report.eigen_spectra[n_prime].tobytes() == lam.tobytes()
+        assert len(failed_in) == 1 and failed_in[0] != threading.get_ident()
+        assert failed_in[0] in threads
 
     def test_short_stream_scans_in_the_caller(self, monkeypatch):
         x, est = TestEstimateN.fig2_capture()
@@ -549,8 +526,8 @@ class TestParallelScan:
         assert len(threads) == 2
 
     def test_concurrent_callers(self, monkeypatch):
-        # more callers than cores, switching threads every 10 us: every
-        # report equals the serial one, and every core and thread is returned
+        # more callers than cores, each fanning out, switching threads every
+        # 10 us: every report equals the serial one, and no thread is left over
         r = faded_stream(4, 2, 2, m=30, k=2, seed=4).samples
         cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=12)
         want = self.serial_scan(r, cfg)
@@ -578,7 +555,6 @@ class TestParallelScan:
         want_bytes = [lam.tobytes() for lam in want[2].values()]
         assert all(g == (want[0], want[1], want_bytes) for g in got)
         assert threading.active_count() == before
-        assert self.free_cores(estimator._FREE_CORES, 2) == 2
 
 
 class TestDuplicateRows:

@@ -72,6 +72,11 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             small_spec(trials=0)
 
+    def test_negative_master_seed_rejected(self):
+        # SeedSequence takes no negative entropy, which would fail mid-sweep
+        with pytest.raises(ConfigError, match="master_seed must be >= 0, got -1"):
+            small_spec(master_seed=-1)
+
     @pytest.mark.parametrize("label", ["", "DEFAULT", "a\nb", "a\rb", "\u00e9"],
                              ids=["empty", "DEFAULT", "newline", "return", "non-ascii"])
     def test_label_without_readable_sidecar_rejected(self, label):
@@ -258,11 +263,13 @@ class TestEmitCsv:
             "bc26b745ccfe090b0873e1ebb158351b57831b7099051362ae83e0639540bb92"
         )
 
-    def test_paper_fig2_decisions_pinned(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_paper_fig2_decisions_pinned(self, tmp_path, workers):
         # 12 fig2.paper trials (N=64, M=500, K=5), the benchmark's paper
-        # reference CSV; updated the same way as the desk digest
+        # reference CSV; updated the same way as the desk digest. Each
+        # trial's scan fans out, on two workers side by side.
         out = tmp_path / "fig2.paper.csv"
-        emit_csv(run_sweep(replace(load_preset("fig2", "paper"), trials=2)), out)
+        emit_csv(run_sweep(replace(load_preset("fig2", "paper"), trials=2), workers), out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "4a2c2ba20ff1acb981e9e68ea8b26fb34be5ecf680a5b4a0a6f1f5632aa60f39"
         )
