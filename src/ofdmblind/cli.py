@@ -118,11 +118,12 @@ def cmd_estimate(args) -> int:
     if args.report:
         missing = args.cp - args.taps + 1
         with open(args.report, "w", encoding="ascii") as fh:
-            fh.write("n_prime floor_ratio zeta_hat metric min_mdl\n")
+            fh.write("n_prime floor_ratio lag_score zeta_hat metric min_mdl\n")
             for n_prime, ratio in report.floor_ratios.items():
+                lag_score = report.lag_scores[n_prime - args.cp]
                 curve = mdl(report.eigen_spectra[n_prime], len(samples) // n_prime)
                 miss = abs(curve.zeta_hat - (n_prime - missing))
-                fh.write(f"{n_prime} {ratio!r} {curve.zeta_hat} {miss} "
+                fh.write(f"{n_prime} {ratio!r} {lag_score!r} {curve.zeta_hat} {miss} "
                          f"{float(np.min(curve.values)):.6g}\n")
     print(report.n_hat)
     return 0

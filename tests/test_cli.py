@@ -136,17 +136,20 @@ class TestEstimate:
                   "--n-min", "4", "--n-max", "12", "--report", str(table)])
         assert rc == 0
         lines = table.read_text().splitlines()
-        assert lines[0] == "n_prime floor_ratio zeta_hat metric min_mdl"
-        # candidates 7..15, one row each
-        assert len(lines) == 10
-        assert lines[1].split()[0] == "7"
-        # the floor ratio decides: its smallest row is the chosen N' = 8 + 3
-        rows = [line.split() for line in lines[1:]]
-        assert min(rows, key=lambda row: float(row[1]))[0] == "11"
-        # each ratio is written exactly, so comparing reports compares bits
+        assert lines[0] == "n_prime floor_ratio lag_score zeta_hat metric min_mdl"
+        # one row per shortlisted candidate, in ascending order
         cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=12)
         report = estimate_n(read_iq_file(out), cfg)
+        rows = [line.split() for line in lines[1:]]
+        assert len(rows) == 3
+        assert [int(row[0]) for row in rows] == sorted(report.floor_ratios)
+        # the floor ratio decides: its smallest row is the chosen N' = 8 + 3
+        assert min(rows, key=lambda row: float(row[1]))[0] == "11"
+        # each ratio and lag score is written exactly, so comparing reports
+        # compares bits
         assert [(int(row[0]), float(row[1])) for row in rows] == list(report.floor_ratios.items())
+        assert [float(row[2]) for row in rows] == [report.lag_scores[int(row[0]) - 3]
+                                                   for row in rows]
 
     def test_truncated_file_exits_two(self, tmp_path, capsys):
         short = tmp_path / "short.iq"

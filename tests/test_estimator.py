@@ -1,8 +1,9 @@
 """Tests for segmentation, MDL model-order selection, and the N estimator.
 
 MDL values are checked against a literal re-evaluation of the formula,
-rank claims against an SVD oracle, and duplicate rows against brute-force
-row comparison on noise-free faded streams.
+rank claims against an SVD oracle, duplicate rows against brute-force
+row comparison on noise-free faded streams, and the shortlisted scan
+against a plain serial scan of the shortlist and of the whole range.
 """
 import math
 import sys
@@ -22,11 +23,12 @@ from ofdmblind.estimator import (
     estimate_n,
     floor_ratio,
     hermitian_eigenvalues,
+    lag_statistic,
     mdl,
     rank_oracle_noise_free,
     segment,
 )
-from ofdmblind.harness import load_preset, point_configs
+from ofdmblind.harness import load_preset, point_configs, simulate
 from ofdmblind.transmitter import IqSequence, OfdmConfig, generate_stream
 
 
@@ -61,6 +63,37 @@ def mdl_direct(lam, m_prime):
                          + 0.5 * zeta * (2 * n - zeta) * math.log(m_prime))
     out[n - 1] = 0.5 * n * n * math.log(m_prime)
     return out
+
+
+def shortlisting(*picked):
+    """A stand-in lag statistic under which the lags `picked` top the range."""
+    return lambda x, lags: np.array([1.0 if k in picked else 0.0 for k in lags])
+
+
+def reference_scan(x, cfg, shortlisted=True):
+    """Plain serial scan, the oracle for estimate_n: (n_hat, lag scores,
+    floor ratios, spectra). Scans the SHORTLIST lags of largest s, ties to
+    the smaller lag, or with `shortlisted` false every candidate of the
+    range; L > P always scans the whole range and scores nothing."""
+    x = np.asarray(x, dtype=complex)
+    e = math.frexp(np.max(np.abs(x.view(np.float64))))[1]
+    x = np.ldexp(x.view(np.float64), -e).view(complex)
+    lags = range(cfg.n_min, cfg.n_max + 1)
+    s = lag_statistic(x, lags)
+    missing = cfg.cp_len - cfg.num_taps + 1
+    candidates = cfg.candidates
+    if shortlisted and missing > 0:
+        top = sorted(lags, key=lambda k: -s[k - cfg.n_min])[:estimator.SHORTLIST]
+        candidates = [k + cfg.cp_len for k in sorted(top)]
+    ratios, spectra = {}, {}
+    for n_prime in candidates:
+        seg = segment(x, n_prime)
+        lam = hermitian_eigenvalues(covariance(seg))
+        if missing > 0:
+            ratios[n_prime] = floor_ratio(lam, seg.shape[1], missing)
+        spectra[n_prime] = np.ldexp(lam, 2 * e)
+    best = min(ratios, key=ratios.get, default=candidates[0])
+    return best - cfg.cp_len, dict(zip(lags, s.tolist())), ratios, spectra
 
 
 class TestEstimatorConfig:
@@ -230,6 +263,47 @@ class TestFloorRatio:
         assert floor_ratio(np.array([2.0, 1.0, 0.5]), 3, 1) == math.inf
 
 
+class TestLagStatistic:
+    LAGS = range(4, 21)
+
+    @pytest.mark.parametrize("taps", [1, 2, 3])
+    def test_peaks_at_n_on_a_noise_free_stream(self, taps):
+        # each prefix sample repeats the sample N later
+        x = faded_stream(8, 3, taps, m=200, k=2, seed=11).samples
+        s = lag_statistic(x, self.LAGS)
+        assert self.LAGS[int(np.argmax(s))] == 8
+        if taps == 1:
+            # all P of every N + P samples repeat exactly, and the products
+            # of independent samples nearly cancel
+            assert s[8 - 4] == pytest.approx(3 / 11, abs=0.04)
+
+    def test_scale_invariant(self):
+        x = noisy_stream(8, 3, 2, m=60, k=2, seed=12, snr_db=5.0).samples
+        s = lag_statistic(x, self.LAGS)
+        for k in (-200, -30, 30, 200):
+            assert np.array_equal(lag_statistic(np.ldexp(x.view(np.float64), k).view(complex),
+                                                self.LAGS), s)
+        assert lag_statistic(1e3 * x, self.LAGS) == pytest.approx(s, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["noisy", "white", "constant", "alternating"])
+    def test_values_lie_in_unit_interval(self, kind):
+        rng = np.random.default_rng(13)
+        x = {
+            "noisy": noisy_stream(8, 3, 2, m=60, k=2, seed=13, snr_db=-5.0).samples,
+            "white": rng.standard_normal(700) + 1j * rng.standard_normal(700),
+            "constant": np.full(700, 3 - 4j),
+            "alternating": np.tile([1.0 + 0j, -1.0], 350),
+        }[kind]
+        s = lag_statistic(x, self.LAGS)
+        assert s.shape == (len(self.LAGS),)
+        assert np.all((0.0 <= s) & (s <= 1.0))
+
+    def test_all_zero_stream_scores_zero(self):
+        with np.errstate(all="raise"):
+            s = lag_statistic(np.zeros(400, dtype=complex), self.LAGS)
+        assert np.array_equal(s, np.zeros(len(self.LAGS)))
+
+
 class TestRankOracle:
     def test_sixteen_sample_example(self):
         # N=2, P=2, L=2: correct segmentation drops exactly one rank
@@ -275,16 +349,16 @@ class TestEstimateN:
     def test_mdl_collapse_at_true_candidate_recovered(self):
         # Trial 8 of the fig2 desk preset at 20 dB, seeded as run_trial
         # seeds it. The MDL split at the true N'=39 collapses to zeta=1,
-        # 36 below N+L-1, so the MDL curves alone point at N'=23.
+        # 36 below N+L-1, so the MDL curves of the whole range alone point
+        # at N'=23; the shortlisted floor ratio still finds N'=39.
         ofdm, chan, est = point_configs(load_preset("fig2"), 20.0)
-        data_ss, chan_ss, noise_ss = np.random.SeedSequence((4202, 5, 8)).spawn(3)
-        real = draw_realization(chan, ofdm.num_blocks, chan_ss)
-        r = apply_block_channel(generate_stream(ofdm, data_ss), real, noise_ss)
+        r = simulate(ofdm, chan, (4202, 5, 8))
         report = estimate_n(r, est)
+        _, _, _, spectra = reference_scan(r.samples, est, shortlisted=False)
         missing = est.cp_len - est.num_taps + 1
         misses = {
             n_prime: abs(mdl(lam, len(r) // n_prime).zeta_hat - (n_prime - missing))
-            for n_prime, lam in report.eigen_spectra.items()
+            for n_prime, lam in spectra.items()
         }
         assert mdl(report.eigen_spectra[39], len(r) // 39).zeta_hat == 1
         assert min(misses, key=lambda n_prime: (misses[n_prime], n_prime)) == 23
@@ -326,11 +400,25 @@ class TestEstimateN:
             assert np.array_equal(lam, b.eigen_spectra[n_prime])
 
     def test_candidates_reported_in_order(self):
+        # every lag of the range is scored, and the shortlist is reported
+        # in ascending order whatever the order of its lag scores
         r = faded_stream(4, 2, 2, m=20, k=2, seed=5)
         cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=8)
         report = estimate_n(r, cfg)
-        assert list(report.floor_ratios) == list(cfg.candidates)
-        assert list(report.eigen_spectra) == list(cfg.candidates)
+        assert list(report.lag_scores) == list(range(2, 9))
+        by_score = sorted(report.lag_scores, key=report.lag_scores.get, reverse=True)
+        shortlist = sorted(k + cfg.cp_len for k in by_score[:estimator.SHORTLIST])
+        assert list(report.floor_ratios) == shortlist
+        assert list(report.eigen_spectra) == shortlist
+        assert report.n_hat == 4
+
+    def test_shortlist_ties_go_to_smaller_lag(self, monkeypatch):
+        cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=8)
+        monkeypatch.setattr(estimator, "lag_statistic",
+                            lambda x, lags: np.array([0.5 if k in (3, 5, 6, 8) else 0.1
+                                                      for k in lags]))
+        report = estimate_n(faded_stream(4, 2, 2, m=20, k=2, seed=5), cfg)
+        assert list(report.floor_ratios) == [5, 7, 8]
 
     def test_insufficient_data_names_worst_candidate(self):
         cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=16)
@@ -384,8 +472,14 @@ class TestEstimateN:
                 assert estimate_n(scale * x, est).n_hat == 32
 
     def test_all_zero_stream_reports_smallest_candidate(self):
+        # s = 0 at every lag, not 0/0, so the shortlist is the three
+        # smallest candidates, and their floor ratios tie
         cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=12)
-        assert estimate_n(np.zeros(400, dtype=complex), cfg).n_hat == 4
+        with np.errstate(all="raise"):
+            report = estimate_n(np.zeros(400, dtype=complex), cfg)
+        assert report.n_hat == 4
+        assert set(report.lag_scores.values()) == {0.0}
+        assert list(report.floor_ratios) == [7, 8, 9]
 
     @pytest.mark.parametrize("taps", [2, 5], ids=["scored", "taps-beyond-cp"])
     def test_mdl_never_called(self, monkeypatch, taps):
@@ -397,11 +491,19 @@ class TestEstimateN:
         estimate_n(r, cfg)
         assert calls == []
 
-    def test_spectra_kept_on_request(self):
+    def test_spectra_kept_on_request(self, monkeypatch):
+        # only the shortlisted candidates are segmented, and each one's
+        # spectrum is kept; the true N' = 6 is among them
         r = faded_stream(4, 2, 2, m=20, k=2, seed=6)
         cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=8)
+        segmented = []
+        inner = estimator.segment
+        monkeypatch.setattr(estimator, "segment",
+                            lambda x, n_prime: segmented.append(n_prime) or inner(x, n_prime))
         report = estimate_n(r, cfg)
-        assert set(report.eigen_spectra) == set(cfg.candidates)
+        assert len(segmented) == estimator.SHORTLIST
+        assert set(report.eigen_spectra) == set(segmented) == set(report.floor_ratios)
+        assert 6 in report.eigen_spectra
 
     def test_report_reads_its_own_spectra(self):
         # every per-candidate statistic is a function of the reported
@@ -421,25 +523,9 @@ class TestEstimateN:
 
 
 class TestParallelScan:
-    """estimate_n splits its candidates over one thread per core; a
-    plain serial loop over the same steps is the reference it must equal
-    bitwise, whatever the number of cores."""
-
-    @staticmethod
-    def serial_scan(x, cfg):
-        x = np.asarray(x, dtype=complex)
-        e = math.frexp(np.max(np.abs(x.view(np.float64))))[1]
-        x = np.ldexp(x.view(np.float64), -e).view(complex)
-        missing = cfg.cp_len - cfg.num_taps + 1
-        ratios, spectra = {}, {}
-        for n_prime in cfg.candidates:
-            seg = segment(x, n_prime)
-            lam = hermitian_eigenvalues(covariance(seg))
-            if missing > 0:
-                ratios[n_prime] = floor_ratio(lam, seg.shape[1], missing)
-            spectra[n_prime] = np.ldexp(lam, 2 * e)
-        best = min(ratios, key=ratios.get, default=cfg.candidates[0])
-        return best - cfg.cp_len, ratios, spectra
+    """estimate_n splits its shortlisted candidates over one thread per
+    core; a plain serial loop over the same steps is the reference it
+    must equal bitwise, whatever the number of cores."""
 
     @staticmethod
     def on_cores(monkeypatch, cores, min_samples=0):
@@ -461,7 +547,7 @@ class TestParallelScan:
                              ids=["desk", "paper", "desk-taps-beyond-cp"])
     def test_equals_serial_scan(self, monkeypatch, scale, taps, cores):
         x, est = TestEstimateN.fig2_capture(scale, taps)
-        n_hat, ratios, spectra = self.serial_scan(x, est)
+        n_hat, lag_scores, ratios, spectra = reference_scan(x, est)
         before = threading.active_count()
         threads = self.on_cores(monkeypatch, cores)
         report = estimate_n(x, est)
@@ -469,35 +555,43 @@ class TestParallelScan:
         # a pool thread that finishes its share early may take the next one
         assert min(cores, 2) <= len(threads) <= cores
         assert report.n_hat == n_hat
+        assert list(report.lag_scores.items()) == list(lag_scores.items())
         assert list(report.floor_ratios.items()) == list(ratios.items())
         assert list(report.eigen_spectra) == list(spectra)
         for n_prime, lam in spectra.items():
             assert report.eigen_spectra[n_prime].tobytes() == lam.tobytes()
         if taps is None:
+            assert len(spectra) == estimator.SHORTLIST
             assert n_hat == 32 if scale == "desk" else n_hat == 64
         else:
-            # L > P: nothing scored, the smallest candidate reported
+            # L > P: the whole range segmented, nothing scored, the
+            # smallest candidate reported
+            assert list(spectra) == list(est.candidates)
             assert ratios == {} and n_hat == est.n_min
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_tie_goes_to_smaller_candidate(self, monkeypatch, cores):
-        # N' = 11 and 12 tie; on two or three cores they sit in different
-        # shares, the larger one in the calling thread's share on two
+        # N' = 10, 11 and 12 are shortlisted, and 11 and 12 tie; on two or
+        # three cores they sit in different shares, the larger one in the
+        # calling thread's share on two
         r = faded_stream(4, 2, 2, m=30, k=2, seed=4)
         cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=12)
         self.on_cores(monkeypatch, cores)
+        monkeypatch.setattr(estimator, "lag_statistic", shortlisting(8, 9, 10))
         monkeypatch.setattr(estimator, "floor_ratio",
                             lambda lam, m_prime, missing: 0.5 if len(lam) in (11, 12) else 1.0)
         report = estimate_n(r, cfg)
         assert report.n_hat == 11 - cfg.cp_len
-        assert list(report.floor_ratios) == list(cfg.candidates)
+        assert list(report.floor_ratios) == [10, 11, 12]
 
     def test_failing_share_joins_its_helpers(self, monkeypatch):
         # an error in a helper's share reaches the caller, and no pool
-        # thread survives: on three cores N' = 9 sits in the third share
+        # thread survives: on three cores the shortlisted N' = 9 sits in
+        # the third share
         r = faded_stream(4, 2, 2, m=30, k=2, seed=4)
         cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=12)
         threads = self.on_cores(monkeypatch, 3)
+        monkeypatch.setattr(estimator, "lag_statistic", shortlisting(5, 6, 7))
         inner = estimator.hermitian_eigenvalues
         failed_in = []
 
@@ -530,7 +624,7 @@ class TestParallelScan:
         # 10 us: every report equals the serial one, and no thread is left over
         r = faded_stream(4, 2, 2, m=30, k=2, seed=4).samples
         cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=12)
-        want = self.serial_scan(r, cfg)
+        want = reference_scan(r, cfg)
         self.on_cores(monkeypatch, 2)
         before = threading.active_count()
         got = []
@@ -552,8 +646,8 @@ class TestParallelScan:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert len(got) == 80
-        want_bytes = [lam.tobytes() for lam in want[2].values()]
-        assert all(g == (want[0], want[1], want_bytes) for g in got)
+        want_bytes = [lam.tobytes() for lam in want[3].values()]
+        assert all(g == (want[0], want[2], want_bytes) for g in got)
         assert threading.active_count() == before
 
 
@@ -573,3 +667,23 @@ class TestDuplicateRows:
     def test_wrong_n_has_no_pairs(self):
         r = faded_stream(8, 3, 2, m=30, k=2, seed=3)
         assert duplicate_row_pairs(r, 9, 3, 2) == []
+
+
+class TestShortlistLosesNothing:
+    """Wherever the full scan of the range is right, the shortlisted scan
+    is right too: on every desk fig2 trial t < 20 of all six points, and
+    on a few fig4 and fig5 trials, seeded as run_trial seeds them."""
+
+    @pytest.mark.parametrize("preset, trials", [("fig2", 20), ("fig4", 2), ("fig5", 5)])
+    def test_right_wherever_the_full_scan_is(self, preset, trials):
+        spec = load_preset(preset)
+        checked = 0
+        for i, value in enumerate(spec.axis_values):
+            ofdm, chan, est = point_configs(spec, value)
+            for t in range(trials):
+                r = simulate(ofdm, chan, (spec.master_seed, i, t))
+                if reference_scan(r.samples, est, shortlisted=False)[0] == ofdm.n_subcarriers:
+                    checked += 1
+                    assert estimate_n(r, est).n_hat == ofdm.n_subcarriers, (value, t)
+        # the full scan is right on most of these trials
+        assert checked >= 0.7 * trials * len(spec.axis_values)

@@ -260,7 +260,7 @@ class TestEmitCsv:
         out = tmp_path / "fig2.csv"
         emit_csv(run_sweep(replace(load_preset("fig2"), trials=20)), out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "bc26b745ccfe090b0873e1ebb158351b57831b7099051362ae83e0639540bb92"
+            "8d81547a7e2157c7a4d01a8ffcb3f3ce74f3467c432682207c518af74deb5dfe"
         )
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -271,7 +271,7 @@ class TestEmitCsv:
         out = tmp_path / "fig2.paper.csv"
         emit_csv(run_sweep(replace(load_preset("fig2", "paper"), trials=2), workers), out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "4a2c2ba20ff1acb981e9e68ea8b26fb34be5ecf680a5b4a0a6f1f5632aa60f39"
+            "324677316d932d502b2a56db0ab3fa63cf95509e90e9667d8d1dca87e0c5eb46"
         )
 
 
