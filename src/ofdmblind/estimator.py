@@ -53,20 +53,6 @@ lag, and has no peak at a multiple of N+P. For L > P nothing is
 shortlisted: every candidate of the range is segmented and its spectrum
 reported.
 
-The candidates are independent, so estimate_n scans a long stream on
-every core the process may run on: with c cores the calling thread
-takes every c-th candidate, and one pool thread per further core takes
-each other interleaved share. The covariance is a BLAS call that
-releases the interpreter lock, so one share's covariance overlaps
-another's eigenvalue step; on a short stream that overlap is too brief
-to pay for handing the lock between threads, and the calling thread
-scans alone. Concurrent scans, such as the trials of a threaded sweep,
-each fan out in the same way and share the cores through the operating
-system's scheduler. The shares return spectra only; they are merged
-back into scan order and every floor ratio is computed there, in the
-calling thread, so the report does not depend on how many cores there
-are or how busy they are.
-
 The floor ratio is the only statistic the scan computes. The MDL curve
 of a spectrum,
 
@@ -82,8 +68,6 @@ the signal-subspace dimension N+L-1 even at the true N'.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,18 +97,6 @@ RANK_REL_TOL = 1e-9
 # desk preset, 200 trials per point, the top 3 held the true N whenever
 # the full scan of the range found it.
 SHORTLIST = 3
-
-# Streams shorter than this are scanned in the calling thread alone. A
-# short stream gives each covariance too brief a stretch outside the
-# interpreter lock to pay for handing the lock between threads: on 2
-# cores with 1 BLAS thread, one 7800-sample desk fig2 scan took 6.4-11.6
-# ms alone and 7.0-15.9 ms on two threads, while 177450 samples took 55
-# ms alone and 27-32 ms on two threads.
-PARALLEL_MIN_SAMPLES = 1 << 17
-
-# Cores this process may run on; platforms without an affinity call
-# count every core.
-CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -298,11 +270,6 @@ def lag_statistic(x: np.ndarray, lags) -> np.ndarray:
     return s / energy if energy else s
 
 
-def _scan(x: np.ndarray, share) -> dict:
-    """The descending spectrum of each candidate in `share`: N' -> lam."""
-    return {n_prime: hermitian_eigenvalues(covariance(segment(x, n_prime))) for n_prime in share}
-
-
 def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     """Shortlist candidate segment lengths by their lag statistic, and
     pick the best-matching N among them by the floor ratio.
@@ -319,15 +286,6 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     nothing is scored and the smallest candidate is reported. A stream
     that is not 1-D, too short for the largest candidate of the range or
     holding a NaN or infinite sample raises DataError.
-
-    A stream of PARALLEL_MIN_SAMPLES or more is split into one
-    interleaved share of candidates per core the process may run on
-    (CORES), at most one per candidate. The calling thread scans the
-    first share and a thread pool, joined before this returns, the
-    others; concurrent calls each fan out alike. A shorter stream is
-    scanned in the calling thread alone. The shares return spectra, and
-    the calling thread scores them in scan order, so the report, the
-    order of its dicts included, is the same for any number of cores.
 
     The scan runs on the stream scaled by the power of two 2^-e that puts
     its largest real or imaginary part in [0.5, 1); each spectrum is scaled
@@ -358,15 +316,7 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
         cands = [lags[i] + cfg.cp_len for i in sorted(top)]
     else:
         cands = cfg.candidates
-    # Interleaved shares balance the work, which grows with N'. The pool
-    # starts one thread per submitted share, so shares - 1 at most, and
-    # leaving the block joins them.
-    shares = min(CORES, len(cands)) if len(x) >= PARALLEL_MIN_SAMPLES else 1
-    with ThreadPoolExecutor(shares) as pool:
-        helpers = [pool.submit(_scan, x, cands[i::shares]) for i in range(1, shares)]
-        scanned = _scan(x, cands[0::shares])
-        for helper in helpers:
-            scanned.update(helper.result())
+    scanned = {n: hermitian_eigenvalues(covariance(segment(x, n))) for n in cands}
     ratios = {n: floor_ratio(scanned[n], len(x) // n, missing) for n in cands if missing > 0}
     spectra = {n: np.ldexp(scanned[n], 2 * e) for n in cands}
     # the first minimum in scan order, so ties go to the smallest N'

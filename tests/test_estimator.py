@@ -8,6 +8,7 @@ against a plain serial scan of the shortlist and of the whole range.
 import math
 import sys
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -521,112 +522,26 @@ class TestEstimateN:
         best = min(report.floor_ratios, key=report.floor_ratios.get)
         assert report.n_hat == best - cfg.cp_len
 
-
-class TestParallelScan:
-    """estimate_n splits its shortlisted candidates over one thread per
-    core; a plain serial loop over the same steps is the reference it
-    must equal bitwise, whatever the number of cores."""
-
-    @staticmethod
-    def on_cores(monkeypatch, cores, min_samples=0):
-        """Give estimate_n `cores` cores and fan out from `min_samples`
-        samples on; returns the threads that segment."""
-        monkeypatch.setattr(estimator, "CORES", cores)
-        monkeypatch.setattr(estimator, "PARALLEL_MIN_SAMPLES", min_samples)
-        threads = set()
+    def test_scans_in_the_calling_thread(self, monkeypatch):
+        # a paper-scale capture, 177450 samples, starts no thread: every
+        # candidate is segmented by the caller
+        x, est = self.fig2_capture("paper")
+        threads = []
         inner = estimator.segment
-
-        def traced(x, n_prime):
-            threads.add(threading.get_ident())
-            return inner(x, n_prime)
-        monkeypatch.setattr(estimator, "segment", traced)
-        return threads
-
-    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
-    @pytest.mark.parametrize("scale, taps", [("desk", None), ("paper", None), ("desk", 9)],
-                             ids=["desk", "paper", "desk-taps-beyond-cp"])
-    def test_equals_serial_scan(self, monkeypatch, scale, taps, cores):
-        x, est = TestEstimateN.fig2_capture(scale, taps)
-        n_hat, lag_scores, ratios, spectra = reference_scan(x, est)
+        monkeypatch.setattr(estimator, "segment",
+                            lambda x, n_prime: threads.append(threading.get_ident())
+                            or inner(x, n_prime))
         before = threading.active_count()
-        threads = self.on_cores(monkeypatch, cores)
-        report = estimate_n(x, est)
+        assert estimate_n(x, est).n_hat == 64
         assert threading.active_count() == before
-        # a pool thread that finishes its share early may take the next one
-        assert min(cores, 2) <= len(threads) <= cores
-        assert report.n_hat == n_hat
-        assert list(report.lag_scores.items()) == list(lag_scores.items())
-        assert list(report.floor_ratios.items()) == list(ratios.items())
-        assert list(report.eigen_spectra) == list(spectra)
-        for n_prime, lam in spectra.items():
-            assert report.eigen_spectra[n_prime].tobytes() == lam.tobytes()
-        if taps is None:
-            assert len(spectra) == estimator.SHORTLIST
-            assert n_hat == 32 if scale == "desk" else n_hat == 64
-        else:
-            # L > P: the whole range segmented, nothing scored, the
-            # smallest candidate reported
-            assert list(spectra) == list(est.candidates)
-            assert ratios == {} and n_hat == est.n_min
+        assert threads == [threading.get_ident()] * estimator.SHORTLIST
 
-    @pytest.mark.parametrize("cores", [1, 2, 3])
-    def test_tie_goes_to_smaller_candidate(self, monkeypatch, cores):
-        # N' = 10, 11 and 12 are shortlisted, and 11 and 12 tie; on two or
-        # three cores they sit in different shares, the larger one in the
-        # calling thread's share on two
-        r = faded_stream(4, 2, 2, m=30, k=2, seed=4)
-        cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=12)
-        self.on_cores(monkeypatch, cores)
-        monkeypatch.setattr(estimator, "lag_statistic", shortlisting(8, 9, 10))
-        monkeypatch.setattr(estimator, "floor_ratio",
-                            lambda lam, m_prime, missing: 0.5 if len(lam) in (11, 12) else 1.0)
-        report = estimate_n(r, cfg)
-        assert report.n_hat == 11 - cfg.cp_len
-        assert list(report.floor_ratios) == [10, 11, 12]
-
-    def test_failing_share_joins_its_helpers(self, monkeypatch):
-        # an error in a helper's share reaches the caller, and no pool
-        # thread survives: on three cores the shortlisted N' = 9 sits in
-        # the third share
-        r = faded_stream(4, 2, 2, m=30, k=2, seed=4)
-        cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=12)
-        threads = self.on_cores(monkeypatch, 3)
-        monkeypatch.setattr(estimator, "lag_statistic", shortlisting(5, 6, 7))
-        inner = estimator.hermitian_eigenvalues
-        failed_in = []
-
-        def broken(m):
-            if len(m) == 9:
-                failed_in.append(threading.get_ident())
-                raise RuntimeError("candidate 9")
-            return inner(m)
-        monkeypatch.setattr(estimator, "hermitian_eigenvalues", broken)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="candidate 9"):
-            estimate_n(r, cfg)
-        assert threading.active_count() == before
-        assert len(failed_in) == 1 and failed_in[0] != threading.get_ident()
-        assert failed_in[0] in threads
-
-    def test_short_stream_scans_in_the_caller(self, monkeypatch):
-        x, est = TestEstimateN.fig2_capture()
-        threads = self.on_cores(monkeypatch, 2, min_samples=len(x) + 1)
-        report = estimate_n(x, est)
-        assert threads == {threading.get_ident()}
-        assert report.n_hat == 32
-        threads.clear()
-        monkeypatch.setattr(estimator, "PARALLEL_MIN_SAMPLES", len(x))
-        estimate_n(x, est)
-        assert len(threads) == 2
-
-    def test_concurrent_callers(self, monkeypatch):
-        # more callers than cores, each fanning out, switching threads every
-        # 10 us: every report equals the serial one, and no thread is left over
+    def test_concurrent_callers(self):
+        # more callers than cores, as run_sweep's threads call estimate_n,
+        # switching threads every 10 us: every report equals the reference
         r = faded_stream(4, 2, 2, m=30, k=2, seed=4).samples
         cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=12)
         want = reference_scan(r, cfg)
-        self.on_cores(monkeypatch, 2)
-        before = threading.active_count()
         got = []
 
         def caller():
@@ -648,7 +563,76 @@ class TestParallelScan:
         assert len(got) == 80
         want_bytes = [lam.tobytes() for lam in want[3].values()]
         assert all(g == (want[0], want[2], want_bytes) for g in got)
+
+
+class TestParallelScan:
+    """Parallelism lives in run_sweep's threads: estimate_n scans in the
+    thread that calls it. From one to eight callers at once, every report
+    equals a plain serial loop over the same steps bitwise, and each
+    candidate is segmented by the caller that asked for it."""
+
+    @staticmethod
+    def from_callers(monkeypatch, callers, *args):
+        """Call estimate_n(*args) from `callers` threads at once; returns
+        the reports, once no thread but the callers has segmented and
+        none outlives the calls."""
+        segmented_by = []
+        inner = estimator.segment
+        monkeypatch.setattr(estimator, "segment",
+                            lambda x, n_prime: segmented_by.append(threading.get_ident())
+                            or inner(x, n_prime))
+        before = threading.active_count()
+        start = threading.Barrier(callers)
+        reports = {}
+
+        def caller():
+            start.wait(timeout=60)
+            reports[threading.get_ident()] = estimate_n(*args)
+        threads = [threading.Thread(target=caller) for _ in range(callers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
         assert threading.active_count() == before
+        assert len(reports) == callers
+        assert Counter(segmented_by) == {ident: len(report.eigen_spectra)
+                                         for ident, report in reports.items()}
+        return list(reports.values())
+
+    @pytest.mark.parametrize("callers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("scale, taps", [("desk", None), ("paper", None), ("desk", 9)],
+                             ids=["desk", "paper", "desk-taps-beyond-cp"])
+    def test_equals_serial_scan(self, monkeypatch, scale, taps, callers):
+        x, est = TestEstimateN.fig2_capture(scale, taps)
+        n_hat, lag_scores, ratios, spectra = reference_scan(x, est)
+        for report in self.from_callers(monkeypatch, callers, x, est):
+            assert report.n_hat == n_hat
+            assert list(report.lag_scores.items()) == list(lag_scores.items())
+            assert list(report.floor_ratios.items()) == list(ratios.items())
+            assert list(report.eigen_spectra) == list(spectra)
+            for n_prime, lam in spectra.items():
+                assert report.eigen_spectra[n_prime].tobytes() == lam.tobytes()
+        if taps is None:
+            assert len(spectra) == estimator.SHORTLIST
+            assert n_hat == 32 if scale == "desk" else n_hat == 64
+        else:
+            # L > P: the whole range segmented, nothing scored, the
+            # smallest candidate reported
+            assert list(spectra) == list(est.candidates)
+            assert ratios == {} and n_hat == est.n_min
+
+    @pytest.mark.parametrize("callers", [1, 2, 3])
+    def test_tie_goes_to_smaller_candidate(self, monkeypatch, callers):
+        # N' = 10, 11 and 12 are shortlisted, and 11 and 12 tie
+        r = faded_stream(4, 2, 2, m=30, k=2, seed=4)
+        cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=12)
+        monkeypatch.setattr(estimator, "lag_statistic", shortlisting(8, 9, 10))
+        monkeypatch.setattr(estimator, "floor_ratio",
+                            lambda lam, m_prime, missing: 0.5 if len(lam) in (11, 12) else 1.0)
+        for report in self.from_callers(monkeypatch, callers, r, cfg):
+            assert report.n_hat == 11 - cfg.cp_len
+            assert list(report.floor_ratios) == [10, 11, 12]
 
 
 class TestDuplicateRows:

@@ -266,8 +266,8 @@ class TestEmitCsv:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_paper_fig2_decisions_pinned(self, tmp_path, workers):
         # 12 fig2.paper trials (N=64, M=500, K=5), the benchmark's paper
-        # reference CSV; updated the same way as the desk digest. Each
-        # trial's scan fans out, on two workers side by side.
+        # reference CSV; updated the same way as the desk digest. Two
+        # workers run trials side by side.
         out = tmp_path / "fig2.paper.csv"
         emit_csv(run_sweep(replace(load_preset("fig2", "paper"), trials=2), workers), out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
