@@ -36,7 +36,8 @@ floor_ratio wins, ties going to the smallest N', and the estimate is
 N = N' - P. Every quotient is scale invariant, and estimate_n keeps it
 so over the whole floating-point range by scanning the stream rescaled
 by a power of two. For L > P the rank theorem predicts no missing rank,
-so nothing is scored and the smallest candidate is reported.
+so the shortlist below is segmented but nothing is scored, and the
+smallest candidate of the range is reported.
 
 estimate_n does not segment every candidate. It first ranks the lags
 k = n_min..n_max by the cyclic-prefix lag correlation
@@ -49,9 +50,7 @@ samples are independent and s is small. The SHORTLIST lags with the
 largest s, ties going to the smaller lag, become the candidates k + P,
 and only these are segmented, eigendecomposed and scored. The lag
 statistic needs no P, no L and no alignment, costs one dot product per
-lag, and has no peak at a multiple of N+P. For L > P nothing is
-shortlisted: every candidate of the range is segmented and its spectrum
-reported.
+lag, and has no peak at a multiple of N+P.
 
 The floor ratio is the only statistic the scan computes. The MDL curve
 of a spectrum,
@@ -142,11 +141,11 @@ class EstimateReport:
     k = n_min..n_max, in order, to its lag statistic s(k). `floor_ratios`
     maps each shortlisted candidate N', in ascending order, to the
     floor_ratio that ranked it; it is empty when L > P, where nothing is
-    scored and n_hat is the smallest candidate minus P, which carries no
-    information. `eigen_spectra` maps every segmented candidate N' (the
-    shortlist, or the whole range when L > P) to the descending
-    eigenvalues of its covariance, so any per-candidate statistic, the
-    MDL curve included, can be recomputed with M' = len(stream) // N'.
+    scored and n_hat is the smallest candidate of the range minus P,
+    which carries no information. `eigen_spectra` maps each shortlisted
+    candidate N' to the descending eigenvalues of its covariance, so any
+    per-candidate statistic, the MDL curve included, can be recomputed
+    with M' = len(stream) // N'.
     The spectra are in the stream's units, so for samples above about
     1e154 they overflow to inf (numpy warns); n_hat, lag_scores and
     floor_ratios, computed on the rescaled stream, still hold.
@@ -282,8 +281,8 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     returned in the report. The candidate whose P - L + 1 smallest
     eigenvalues hold the least energy wins, ties going to the smallest
     N'; the reported estimate is N' - P. For L > P the rank theorem
-    predicts no missing rank: every candidate of the range is segmented,
-    nothing is scored and the smallest candidate is reported. A stream
+    predicts no missing rank: the shortlist is segmented but nothing is
+    scored, and the smallest candidate of the range is reported. A stream
     that is not 1-D, too short for the largest candidate of the range or
     holding a NaN or infinite sample raises DataError.
 
@@ -309,18 +308,15 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     x = np.ldexp(x.view(np.float64), -e).view(complex)
     lags = range(cfg.n_min, cfg.n_max + 1)
     s = lag_statistic(x, lags)
-    missing = cfg.cp_len - cfg.num_taps + 1
-    if missing > 0:
-        # a stable sort keeps ties in lag order, so the smaller lag wins
-        top = np.argsort(-s, kind="stable")[:SHORTLIST]
-        cands = [lags[i] + cfg.cp_len for i in sorted(top)]
-    else:
-        cands = cfg.candidates
+    # a stable sort keeps ties in lag order, so the smaller lag wins
+    top = np.argsort(-s, kind="stable")[:SHORTLIST]
+    cands = [lags[i] + cfg.cp_len for i in sorted(top)]
     scanned = {n: hermitian_eigenvalues(covariance(segment(x, n))) for n in cands}
+    missing = cfg.cp_len - cfg.num_taps + 1
     ratios = {n: floor_ratio(scanned[n], len(x) // n, missing) for n in cands if missing > 0}
     spectra = {n: np.ldexp(scanned[n], 2 * e) for n in cands}
     # the first minimum in scan order, so ties go to the smallest N'
-    best = min(ratios, key=ratios.get, default=cands[0])
+    best = min(ratios, key=ratios.get, default=cfg.candidates[0])
     return EstimateReport(n_hat=best - cfg.cp_len, lag_scores=dict(zip(lags, s.tolist())),
                           floor_ratios=ratios, eigen_spectra=spectra)
 

@@ -75,7 +75,7 @@ def reference_scan(x, cfg, shortlisted=True):
     """Plain serial scan, the oracle for estimate_n: (n_hat, lag scores,
     floor ratios, spectra). Scans the SHORTLIST lags of largest s, ties to
     the smaller lag, or with `shortlisted` false every candidate of the
-    range; L > P always scans the whole range and scores nothing."""
+    range; L > P scores nothing and reports the range's smallest."""
     x = np.asarray(x, dtype=complex)
     e = math.frexp(np.max(np.abs(x.view(np.float64))))[1]
     x = np.ldexp(x.view(np.float64), -e).view(complex)
@@ -83,7 +83,7 @@ def reference_scan(x, cfg, shortlisted=True):
     s = lag_statistic(x, lags)
     missing = cfg.cp_len - cfg.num_taps + 1
     candidates = cfg.candidates
-    if shortlisted and missing > 0:
+    if shortlisted:
         top = sorted(lags, key=lambda k: -s[k - cfg.n_min])[:estimator.SHORTLIST]
         candidates = [k + cfg.cp_len for k in sorted(top)]
     ratios, spectra = {}, {}
@@ -93,7 +93,7 @@ def reference_scan(x, cfg, shortlisted=True):
         if missing > 0:
             ratios[n_prime] = floor_ratio(lam, seg.shape[1], missing)
         spectra[n_prime] = np.ldexp(lam, 2 * e)
-    best = min(ratios, key=ratios.get, default=candidates[0])
+    best = min(ratios, key=ratios.get, default=cfg.candidates[0])
     return best - cfg.cp_len, dict(zip(lags, s.tolist())), ratios, spectra
 
 
@@ -380,15 +380,21 @@ class TestEstimateN:
         assert list(b.floor_ratios) == list(a.floor_ratios)
         assert list(b.floor_ratios.values()) == pytest.approx(list(a.floor_ratios.values()))
 
-    def test_channel_longer_than_cp_scores_nothing(self):
+    def test_channel_longer_than_cp_scores_nothing(self, monkeypatch):
         # L > P: no rank is missing anywhere, so the smallest candidate is
-        # reported unscored
+        # reported unscored; only the shortlist is segmented, as for L <= P
         r = noisy_stream(8, 3, 5, m=60, k=2, seed=2, snr_db=30.0)
         cfg = EstimatorConfig(cp_len=3, num_taps=5, n_min=4, n_max=16)
+        segmented = []
+        inner = estimator.segment
+        monkeypatch.setattr(estimator, "segment",
+                            lambda x, n_prime: segmented.append(n_prime) or inner(x, n_prime))
         report = estimate_n(r, cfg)
         assert report.n_hat == cfg.n_min
         assert report.floor_ratios == {}
-        assert set(report.eigen_spectra) == set(cfg.candidates)
+        by_score = sorted(report.lag_scores, key=report.lag_scores.get, reverse=True)
+        shortlist = sorted(k + cfg.cp_len for k in by_score[:estimator.SHORTLIST])
+        assert segmented == shortlist == list(report.eigen_spectra)
 
     def test_pure_function_of_inputs(self):
         r = faded_stream(4, 2, 2, m=20, k=2, seed=4)
@@ -613,13 +619,12 @@ class TestParallelScan:
             assert list(report.eigen_spectra) == list(spectra)
             for n_prime, lam in spectra.items():
                 assert report.eigen_spectra[n_prime].tobytes() == lam.tobytes()
+        assert len(spectra) == estimator.SHORTLIST
         if taps is None:
-            assert len(spectra) == estimator.SHORTLIST
             assert n_hat == 32 if scale == "desk" else n_hat == 64
         else:
-            # L > P: the whole range segmented, nothing scored, the
-            # smallest candidate reported
-            assert list(spectra) == list(est.candidates)
+            # L > P: the shortlist segmented, nothing scored, the
+            # smallest candidate of the range reported
             assert ratios == {} and n_hat == est.n_min
 
     @pytest.mark.parametrize("callers", [1, 2, 3])

@@ -253,15 +253,18 @@ class TestEmitCsv:
         with pytest.raises(DataError):
             emit_csv(result, tmp_path / "missing" / "out.csv")
 
-    def test_desk_fig2_decisions_pinned(self, tmp_path):
-        # 120 desk fig2 trials, the benchmark's desk reference CSV. A change
-        # that alters decisions by design updates this digest and records
+    @pytest.mark.parametrize("preset, digest", [
+        ("fig2", "8d81547a7e2157c7a4d01a8ffcb3f3ce74f3467c432682207c518af74deb5dfe"),
+        ("fig3", "c273bc0d2d8721cdf5780973020b14ba3038b33f75e00e402cad2a7ea4501904"),
+    ], ids=["fig2", "fig3"])
+    def test_desk_decisions_pinned(self, tmp_path, preset, digest):
+        # 20 trials per point of a desk preset: fig2 is the benchmark's
+        # desk reference CSV, and fig3 reaches L > P at L = 8..10. A change
+        # that alters decisions by design updates the digest and records
         # the old and the new one.
-        out = tmp_path / "fig2.csv"
-        emit_csv(run_sweep(replace(load_preset("fig2"), trials=20)), out)
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "8d81547a7e2157c7a4d01a8ffcb3f3ce74f3467c432682207c518af74deb5dfe"
-        )
+        out = tmp_path / f"{preset}.csv"
+        emit_csv(run_sweep(replace(load_preset(preset), trials=20)), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_paper_fig2_decisions_pinned(self, tmp_path, workers):
