@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 from .transmitter import IqSequence
@@ -86,10 +87,12 @@ def apply_block_channel(s: IqSequence, real: ChannelRealization, noise_seed=None
     where H_k is the T x T lower-triangular Toeplitz matrix of the block's
     taps and B_k carries the convolution tail of the previous block into
     the first L-1 samples of this one (B_1 is identically zero). Rather
-    than forming those matrices, each block is convolved with its own tap
-    vector after being extended by the last L-1 transmit samples of its
-    predecessor, block 0 by L-1 zeros; the two formulations agree exactly,
-    which the test suite checks against explicitly built H and B.
+    than forming those matrices, the stream is padded once with L-1 zeros
+    and each output sample is the product of its window of the last L
+    transmit samples, which reaches into the previous block, with its
+    own block's reversed taps: one batched product over a (K, T, L)
+    window view. The two formulations agree to rounding, which the test
+    suite checks against explicitly built H and B.
 
     Noise is i.i.d. circular complex Gaussian with variance real.noise_var,
     drawn from noise_seed. The seed may be omitted only for the noiseless
@@ -106,19 +109,25 @@ def apply_block_channel(s: IqSequence, real: ChannelRealization, noise_seed=None
     if l > t:
         raise ConfigError(f"channel ({l} taps) longer than one block ({t} samples)")
 
-    out = np.empty(len(x), dtype=complex)
-    tail = np.zeros(l - 1, dtype=complex)
-    for blk in range(k):
-        seg = x[blk * t:(blk + 1) * t]
-        conv = np.convolve(np.concatenate([tail, seg]), real.taps[blk])
-        out[blk * t:(blk + 1) * t] = conv[l - 1:l - 1 + t]
-        tail = seg[t - (l - 1):]
+    # Row i of the window view holds x[i-L+1] .. x[i] of the padded
+    # stream, so its product with block k's reversed taps is the
+    # convolution sample r[i]. numpy runs the product over the strided
+    # view itself; the (K, T, L) windows are never copied.
+    padded = np.concatenate([np.zeros(l - 1, dtype=complex), x])
+    windows = sliding_window_view(padded, l).reshape(k, t, l)
+    out = (windows @ real.taps[:, ::-1, None]).reshape(-1)
 
     if real.noise_var > 0:
         if noise_seed is None:
             raise ConfigError("noise_seed is required when noise_var > 0")
         rng = np.random.default_rng(noise_seed)
         sigma = math.sqrt(real.noise_var / 2.0)
-        out += sigma * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
+        # the real parts' draw, then the imaginary parts', each scaled and
+        # added in place: bitwise sigma * (a + 1j * b) without its temporaries
+        w = np.empty(len(x))
+        for part in (out.real, out.imag):
+            rng.standard_normal(out=w)
+            w *= sigma
+            part += w
 
     return IqSequence(samples=out)

@@ -49,8 +49,9 @@ repeats the sample N later, so s peaks at k = N; at any other lag the
 samples are independent and s is small. The SHORTLIST lags with the
 largest s, ties going to the smaller lag, become the candidates k + P,
 and only these are segmented, eigendecomposed and scored. The lag
-statistic needs no P, no L and no alignment, costs one dot product per
-lag, and has no peak at a multiple of N+P.
+statistic needs no P, no L and no alignment, costs one pass over the
+stream per lag, summed in cache-sized chunks, and has no peak at a
+multiple of N+P.
 
 The floor ratio is the only statistic the scan computes. The MDL curve
 of a spectrum,
@@ -96,6 +97,11 @@ RANK_REL_TOL = 1e-9
 # desk preset, 200 trials per point, the top 3 held the true N whenever
 # the full scan of the range found it.
 SHORTLIST = 3
+
+# Samples per chunk of the lag statistic's sums: 1 MiB of complex128,
+# which with its tail of up to n_max samples stays in cache while every
+# lag's dot product runs over it.
+LAG_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -260,12 +266,23 @@ def mdl(spectrum, m_prime: int) -> MdlCurve:
 def lag_statistic(x: np.ndarray, lags) -> np.ndarray:
     """s(k) = |sum_n x[n] conj(x[n+k])| / sum_n |x[n]|^2 for each lag k.
 
-    x is a 1-D complex array and every lag lies in [1, len(x)); one dot
-    product per lag on views of x, so nothing is copied. The values lie
-    in [0, 1]; an all-zero stream gives 0 at every lag.
+    x is a 1-D complex array and every lag lies in [1, len(x)). The sum
+    runs over chunks of LAG_CHUNK values of n, every lag's dot product
+    on one chunk before the next, so the chunk and the samples up to
+    the largest lag past it stay in cache across the lags. The dot
+    products run on views of x, so nothing is copied, and a stream of at
+    most LAG_CHUNK samples is summed in one dot product per lag. The
+    values lie in [0, 1]; an all-zero stream gives 0 at every lag.
     """
+    n = len(x)
     energy = np.vdot(x, x).real
-    s = np.array([abs(np.vdot(x[k:], x[:len(x) - k])) for k in lags])
+    acc = np.zeros(len(lags), dtype=complex)
+    for c in range(0, n, LAG_CHUNK):
+        acc += [np.vdot(x[c + k:min(c + LAG_CHUNK + k, n)], x[c:min(c + LAG_CHUNK, n - k)])
+                for k in lags]
+    # np.hypot rounds as abs() of a complex scalar does; np.abs of a
+    # complex array may differ in the last bit
+    s = np.hypot(acc.real, acc.imag)
     return s / energy if energy else s
 
 
@@ -299,7 +316,8 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     worst = cfg.candidates[-1]
     if len(x) < worst * worst:
         raise DataError(
-            f"candidate N'={worst} needs {worst * worst} samples, got {len(x)}"
+            f"candidate N'={worst} needs {worst * worst} samples, got {len(x)}: "
+            f"{worst} segments of {worst} samples, one per row of its covariance"
         )
     peak = np.max(np.abs(x.view(np.float64)))
     if not np.isfinite(peak):

@@ -76,7 +76,8 @@ class SweepSpec:
             if ofdm.stream_len < worst * worst:
                 raise ConfigError(
                     f"axis point {self.axis}={value}: candidate N'={worst} needs "
-                    f"{worst * worst} samples, the stream holds {ofdm.stream_len}"
+                    f"{worst * worst} samples, the stream holds {ofdm.stream_len}: "
+                    f"{worst} segments of {worst} samples, one per row of its covariance"
                 )
 
 

@@ -1,4 +1,7 @@
 """Tests for the quasi-block-fading channel against explicit matrix forms."""
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,29 @@ def toeplitz_pair(taps, t):
             if t + i - j < l:
                 b_mat[i, j] = taps[t + i - j]
     return h_mat, b_mat
+
+
+def convolve_blocks(x, taps):
+    """Per-block np.convolve form of the noise-free block channel: each
+    block is convolved with its own taps after being extended by the last
+    L-1 samples of its predecessor, block 0 by L-1 zeros."""
+    k, l = taps.shape
+    t = len(x) // k
+    out = np.empty(len(x), dtype=complex)
+    tail = np.zeros(l - 1, dtype=complex)
+    for blk in range(k):
+        seg = x[blk * t:(blk + 1) * t]
+        conv = np.convolve(np.concatenate([tail, seg]), taps[blk])
+        out[blk * t:(blk + 1) * t] = conv[l - 1:l - 1 + t]
+        tail = seg[t - (l - 1):]
+    return out
+
+
+def seeded_noise(seed, n, noise_var):
+    """sigma * (a + 1j*b) with a, then b, drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    sigma = math.sqrt(noise_var / 2.0)
+    return sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 class TestChannelConfig:
@@ -220,3 +246,42 @@ class TestApplyBlockChannel:
         real = ChannelRealization(taps=np.ones((2, taps)), noise_var=0.0)
         with pytest.raises(DataError, match=rf"1-D, got shape \({shape[0]}, {shape[1]}\)"):
             apply_block_channel(np.ones(shape, dtype=complex), real)
+
+
+class TestChannelAgainstConvolution:
+    """The batched product and in-place noise against per-block np.convolve
+    plus sigma * (a + 1j*b), which fixes every seeded noise stream."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 4202, (4202, 3, 17)], ids=str)
+    def test_zero_stream_gets_the_seeded_noise_bitwise(self, seed):
+        k, t = 3, 40
+        real = ChannelRealization(taps=np.ones((k, 1)), noise_var=0.3)
+        got = apply_block_channel(np.zeros(k * t, dtype=complex), real, noise_seed=seed)
+        assert np.array_equal(got.samples, seeded_noise(seed, k * t, 0.3))
+
+    # one tap, the desk presets' CP length P = 7, and a whole block
+    @pytest.mark.parametrize("l", [1, 7, 20], ids=["L=1", "L=P", "L=T"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_block_convolution_plus_noise(self, l, seed):
+        k, t = 4, 20
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(k * t) + 1j * rng.standard_normal(k * t)
+        taps = rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l))
+        real = ChannelRealization(taps=taps, noise_var=0.5)
+        got = apply_block_channel(x, real, noise_seed=seed + 100).samples
+        want = convolve_blocks(x, taps) + seeded_noise(seed + 100, k * t, 0.5)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_window_view_is_not_copied(self):
+        # a (K, T, L) copy of the windows would take L streams; the pad,
+        # the output and the noise buffer take about 2.5
+        k, t, l = 4, 5000, 16
+        x = np.ones(k * t, dtype=complex)
+        real = ChannelRealization(taps=np.ones((k, l)), noise_var=0.5)
+        tracemalloc.start()
+        try:
+            apply_block_channel(x, real, noise_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.nbytes

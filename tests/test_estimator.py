@@ -66,6 +66,14 @@ def mdl_direct(lam, m_prime):
     return out
 
 
+def per_lag_statistic(x, lags):
+    """Unchunked lag statistic, the oracle for lag_statistic: one np.vdot
+    per lag over the whole stream."""
+    energy = np.vdot(x, x).real
+    s = np.array([abs(np.vdot(x[k:], x[:len(x) - k])) for k in lags])
+    return s / energy if energy else s
+
+
 def shortlisting(*picked):
     """A stand-in lag statistic under which the lags `picked` top the range."""
     return lambda x, lags: np.array([1.0 if k in picked else 0.0 for k in lags])
@@ -304,6 +312,39 @@ class TestLagStatistic:
             s = lag_statistic(np.zeros(400, dtype=complex), self.LAGS)
         assert np.array_equal(s, np.zeros(len(self.LAGS)))
 
+    PAPER_LAGS = range(32, 97)
+
+    @staticmethod
+    def paper_capture(n):
+        # the first n samples of a fig2.paper-geometry capture at 0 dB
+        x = noisy_stream(64, 7, 6, m=500, k=5, seed=14, snr_db=0.0).samples
+        assert n <= len(x)
+        return x[:n]
+
+    @pytest.mark.parametrize("n", [400, 20000, estimator.LAG_CHUNK - 1])
+    def test_stream_within_one_chunk_sums_as_one_dot_product(self, n):
+        x = self.paper_capture(n)
+        assert np.array_equal(lag_statistic(x, self.PAPER_LAGS),
+                              per_lag_statistic(x, self.PAPER_LAGS))
+
+    @pytest.mark.parametrize("n", [
+        estimator.LAG_CHUNK,
+        estimator.LAG_CHUNK + 1,
+        estimator.LAG_CHUNK + 50,
+        estimator.LAG_CHUNK + 95,
+        2 * estimator.LAG_CHUNK + 96,
+        2 * estimator.LAG_CHUNK + 12345,
+        177500,
+    ])
+    def test_chunked_sum_matches_one_dot_product_per_lag(self, n):
+        # one chunk, one chunk plus fewer samples than the largest lag (so
+        # the last chunk holds no product for the larger lags), and several
+        # chunks with a ragged tail, up to the whole paper capture
+        x = self.paper_capture(n)
+        got = lag_statistic(x, self.PAPER_LAGS)
+        assert got == pytest.approx(per_lag_statistic(x, self.PAPER_LAGS), rel=1e-12)
+        assert self.PAPER_LAGS[int(np.argmax(got))] == 64
+
 
 class TestRankOracle:
     def test_sixteen_sample_example(self):
@@ -429,7 +470,8 @@ class TestEstimateN:
 
     def test_insufficient_data_names_worst_candidate(self):
         cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=16)
-        with pytest.raises(DataError, match="361"):
+        with pytest.raises(DataError, match=r"^candidate N'=19 needs 361 samples, got 100: "
+                                            r"19 segments of 19 samples, one per row"):
             estimate_n(np.zeros(100, dtype=complex), cfg)
 
     @pytest.mark.parametrize("shape", [(2000, 2), (4000, 1), (1, 4000)], ids=str)

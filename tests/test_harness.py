@@ -97,6 +97,10 @@ class TestSweepSpec:
             small_spec(axis="n_subcarriers", axis_values=(8, 4), n_max=15)
         assert small_spec(axis="n_subcarriers", axis_values=(8, 4)).n_max == 12
 
+    def test_stream_too_short_says_what_the_samples_are_for(self):
+        with pytest.raises(ConfigError, match=r"holds 280: 18 segments of 18 samples, one per"):
+            small_spec(axis="n_subcarriers", axis_values=(8, 4), n_max=15)
+
     def test_channel_longer_than_block_rejected(self):
         # T = 3 samples per block against 4 taps, while the stream's 300
         # samples fill the only candidate N'=3, which needs 9
