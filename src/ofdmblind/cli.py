@@ -105,24 +105,21 @@ def cmd_generate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if args.cp < args.taps:
+    cfg = EstimatorConfig(cp_len=args.cp, num_taps=args.taps, n_min=args.n_min, n_max=args.n_max)
+    if cfg.missing < 1:
         raise ConfigError(
             f"detection requires cp length >= channel order, got cp={args.cp} "
             f"taps={args.taps}"
         )
-    cfg = EstimatorConfig(
-        cp_len=args.cp, num_taps=args.taps, n_min=args.n_min, n_max=args.n_max
-    )
     samples = read_iq_file(args.infile)
     report = estimate_n(samples, cfg)
     if args.report:
-        missing = args.cp - args.taps + 1
         with open(args.report, "w", encoding="ascii") as fh:
             fh.write("n_prime floor_ratio lag_score zeta_hat metric min_mdl\n")
             for n_prime, ratio in report.floor_ratios.items():
                 lag_score = report.lag_scores[n_prime - args.cp]
                 curve = mdl(report.eigen_spectra[n_prime], len(samples) // n_prime)
-                miss = abs(curve.zeta_hat - (n_prime - missing))
+                miss = abs(curve.zeta_hat - (n_prime - cfg.missing))
                 fh.write(f"{n_prime} {ratio!r} {lag_score!r} {curve.zeta_hat} {miss} "
                          f"{float(np.min(curve.values)):.6g}\n")
     print(report.n_hat)
@@ -153,27 +150,27 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_rank_check(args) -> int:
-    if args.taps > args.cp:
-        raise ConfigError(
-            f"the rank signature requires taps <= cp, got taps={args.taps} cp={args.cp}"
-        )
     cfg = OfdmConfig(
         n_subcarriers=args.n,
         cp_len=args.cp,
         symbols_per_block=args.symbols,
         num_blocks=args.blocks,
     )
-    n_star = cfg.symbol_len
-    if cfg.stream_len < n_star * n_star:
-        raise ConfigError(f"segment length {n_star} needs {n_star * n_star} samples, "
-                          f"the stream holds {cfg.stream_len}; raise --symbols or --blocks")
+    est = EstimatorConfig(cp_len=args.cp, num_taps=args.taps, n_min=args.n, n_max=args.n)
+    if est.missing < 1:
+        raise ConfigError(
+            f"the rank signature requires taps <= cp, got taps={args.taps} cp={args.cp}"
+        )
+    if short := est.too_short(cfg.stream_len):
+        raise ConfigError(short)
     received = simulate(cfg, ChannelConfig(num_taps=args.taps, snr_db=float("inf")), args.seed)
+    n_star = cfg.symbol_len
     rank = rank_oracle_noise_free(received, n_star)
-    expected = cfg.n_subcarriers + args.taps - 1
+    expected = n_star - est.missing
     pairs = duplicate_row_pairs(received, cfg.n_subcarriers, cfg.cp_len, args.taps)
     print(f"segment length {n_star}: rank {rank}, expected {expected}")
     print(f"duplicate row pairs: {pairs}")
-    if rank != expected or len(pairs) != cfg.cp_len - args.taps + 1:
+    if rank != expected or len(pairs) != est.missing:
         print("error: rank signature not observed", file=sys.stderr)
         return 2
     return 0

@@ -131,6 +131,19 @@ class EstimatorConfig:
     def candidates(self) -> range:
         return range(self.n_min + self.cp_len, self.n_max + self.cp_len + 1)
 
+    @property
+    def missing(self) -> int:
+        """d = P - L + 1, the ranks lost at N' = N + P; below 1 when L > P."""
+        return self.cp_len - self.num_taps + 1
+
+    def too_short(self, n: int) -> str:
+        """Why n samples fall short of N' segments of N' for the largest N'; "" if not."""
+        worst = self.candidates[-1]
+        if n >= worst * worst:
+            return ""
+        return (f"candidate N'={worst} needs {worst * worst} samples, the stream holds {n}: "
+                f"{worst} segments of {worst} samples, one per row of its covariance")
+
 
 @dataclass(frozen=True)
 class MdlCurve:
@@ -173,8 +186,7 @@ def segment(r, n_prime: int) -> np.ndarray:
     Column m holds samples m*N' .. (m+1)*N' - 1, so the result is an
     F-ordered view of the stream, M' = floor(len / N') = its shape[1].
     Trailing samples short of a full segment are discarded. The caller
-    guarantees N' >= 1 and at least N'^2 samples, so M' >= N': estimate_n
-    checks its largest candidate, rank-check its one segment length.
+    guarantees N' >= 1 and N'^2 samples, so M' >= N', as too_short checks.
     """
     x = _samples(r)
     m_prime = len(x) // n_prime
@@ -313,12 +325,8 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     x = _samples(r)
     if x.ndim != 1:
         raise DataError(f"the stream must be 1-D, got shape {x.shape}")
-    worst = cfg.candidates[-1]
-    if len(x) < worst * worst:
-        raise DataError(
-            f"candidate N'={worst} needs {worst * worst} samples, got {len(x)}: "
-            f"{worst} segments of {worst} samples, one per row of its covariance"
-        )
+    if short := cfg.too_short(len(x)):
+        raise DataError(short)
     peak = np.max(np.abs(x.view(np.float64)))
     if not np.isfinite(peak):
         raise DataError("the stream holds NaN or infinite samples")
@@ -330,8 +338,8 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     top = np.argsort(-s, kind="stable")[:SHORTLIST]
     cands = [lags[i] + cfg.cp_len for i in sorted(top)]
     scanned = {n: hermitian_eigenvalues(covariance(segment(x, n))) for n in cands}
-    missing = cfg.cp_len - cfg.num_taps + 1
-    ratios = {n: floor_ratio(scanned[n], len(x) // n, missing) for n in cands if missing > 0}
+    ratios = {n: floor_ratio(scanned[n], len(x) // n, cfg.missing)
+              for n in cands if cfg.missing > 0}
     spectra = {n: np.ldexp(scanned[n], 2 * e) for n in cands}
     # the first minimum in scan order, so ties go to the smallest N'
     best = min(ratios, key=ratios.get, default=cfg.candidates[0])

@@ -72,13 +72,8 @@ class SweepSpec:
                     f"axis point {self.axis}={value}: channel ({chan.num_taps} taps) "
                     f"longer than one block ({ofdm.block_len} samples)"
                 )
-            worst = est.candidates[-1]
-            if ofdm.stream_len < worst * worst:
-                raise ConfigError(
-                    f"axis point {self.axis}={value}: candidate N'={worst} needs "
-                    f"{worst * worst} samples, the stream holds {ofdm.stream_len}: "
-                    f"{worst} segments of {worst} samples, one per row of its covariance"
-                )
+            if short := est.too_short(ofdm.stream_len):
+                raise ConfigError(f"axis point {self.axis}={value}: {short}")
 
 
 @dataclass(frozen=True)

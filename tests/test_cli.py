@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from ofdmblind.cli import main
+from ofdmblind.errors import ConfigError, DataError
 from ofdmblind.estimator import EstimatorConfig, estimate_n
-from ofdmblind.transmitter import read_iq_file
+from ofdmblind.harness import SweepSpec
+from ofdmblind.transmitter import OfdmConfig, read_iq_file
 
 SPEC_TEXT = """\
 [quick]
@@ -353,3 +355,20 @@ class TestParsing:
         with pytest.raises(SystemExit) as err:
             run([])
         assert err.value.code == 1
+
+
+def test_every_boundary_gives_one_length_message(capsys):
+    # N' = N + P = 10 needs 100 samples; 2 blocks of 2 symbols hold 40
+    rule = ("candidate N'=10 needs 100 samples, the stream holds 40: "
+            "10 segments of 10 samples, one per row of its covariance")
+    with pytest.raises(DataError) as scan:
+        estimate_n(np.zeros(40, dtype=complex),
+                   EstimatorConfig(cp_len=2, num_taps=2, n_min=8, n_max=8))
+    ofdm = OfdmConfig(n_subcarriers=8, cp_len=2, symbols_per_block=2, num_blocks=2)
+    with pytest.raises(ConfigError) as spec:
+        SweepSpec(axis="snr_db", axis_values=(10.0,), ofdm=ofdm, num_taps=2, snr_db=10.0,
+                  n_min=8, n_max=8, trials=1, master_seed=0)
+    assert run(["rank-check", "--n", "8"]) == 1
+    assert str(scan.value) == rule
+    assert str(spec.value) == f"axis point snr_db=10.0: {rule}"
+    assert capsys.readouterr().err == f"error: {rule}\n"

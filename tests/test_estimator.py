@@ -109,6 +109,8 @@ class TestEstimatorConfig:
     def test_candidate_range(self):
         cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=16)
         assert list(cfg.candidates) == list(range(7, 20))
+        # d = P - L + 1 at L < P, L = P and L > P
+        assert [replace(cfg, num_taps=taps).missing for taps in (2, 3, 4)] == [2, 1, 0]
 
     @pytest.mark.parametrize("kwargs", [
         dict(cp_len=0, num_taps=1, n_min=2, n_max=4),
@@ -470,7 +472,7 @@ class TestEstimateN:
 
     def test_insufficient_data_names_worst_candidate(self):
         cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=16)
-        with pytest.raises(DataError, match=r"^candidate N'=19 needs 361 samples, got 100: "
+        with pytest.raises(DataError, match=r"^candidate N'=19 needs 361 samples, the stream holds 100: "
                                             r"19 segments of 19 samples, one per row"):
             estimate_n(np.zeros(100, dtype=complex), cfg)
 
