@@ -106,11 +106,6 @@ def cmd_generate(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = EstimatorConfig(cp_len=args.cp, num_taps=args.taps, n_min=args.n_min, n_max=args.n_max)
-    if cfg.missing < 1:
-        raise ConfigError(
-            f"detection requires cp length >= channel order, got cp={args.cp} "
-            f"taps={args.taps}"
-        )
     samples = read_iq_file(args.infile)
     report = estimate_n(samples, cfg)
     if args.report:
@@ -157,10 +152,6 @@ def cmd_rank_check(args) -> int:
         num_blocks=args.blocks,
     )
     est = EstimatorConfig(cp_len=args.cp, num_taps=args.taps, n_min=args.n, n_max=args.n)
-    if est.missing < 1:
-        raise ConfigError(
-            f"the rank signature requires taps <= cp, got taps={args.taps} cp={args.cp}"
-        )
     if short := est.too_short(cfg.stream_len):
         raise ConfigError(short)
     received = simulate(cfg, ChannelConfig(num_taps=args.taps, snr_db=float("inf")), args.seed)

@@ -35,9 +35,8 @@ unnormalized quotient picks the multiple. The candidate with the smallest
 floor_ratio wins, ties going to the smallest N', and the estimate is
 N = N' - P. Every quotient is scale invariant, and estimate_n keeps it
 so over the whole floating-point range by scanning the stream rescaled
-by a power of two. For L > P the rank theorem predicts no missing rank,
-so the shortlist below is segmented but nothing is scored, and the
-smallest candidate of the range is reported.
+by a power of two. For L > P no rank goes missing at any candidate, so
+EstimatorConfig refuses such a channel.
 
 estimate_n does not segment every candidate. It first ranks the lags
 k = n_min..n_max by the cyclic-prefix lag correlation
@@ -109,8 +108,8 @@ class EstimatorConfig:
     """Known side information and the search range for N.
 
     Candidate segment lengths run over [n_min + cp_len, n_max + cp_len].
-    Reliable detection requires num_taps <= cp_len; larger values are
-    deliberately not rejected so the failure regime can be measured.
+    The channel must fit in the cyclic prefix, num_taps <= cp_len: a
+    longer one leaves no missing rank to read.
     """
     cp_len: int
     num_taps: int
@@ -122,6 +121,9 @@ class EstimatorConfig:
             raise ConfigError(f"cp_len must be >= 1, got {self.cp_len}")
         if self.num_taps < 1:
             raise ConfigError(f"num_taps must be >= 1, got {self.num_taps}")
+        if self.num_taps > self.cp_len:
+            raise ConfigError(f"num_taps must be <= cp_len, got num_taps={self.num_taps} "
+                              f"cp_len={self.cp_len}")
         if self.n_min < 2:
             raise ConfigError(f"n_min must be >= 2, got {self.n_min}")
         if self.n_max < self.n_min:
@@ -133,7 +135,7 @@ class EstimatorConfig:
 
     @property
     def missing(self) -> int:
-        """d = P - L + 1, the ranks lost at N' = N + P; below 1 when L > P."""
+        """d = P - L + 1, the ranks lost at N' = N + P."""
         return self.cp_len - self.num_taps + 1
 
     def too_short(self, n: int) -> str:
@@ -159,9 +161,7 @@ class EstimateReport:
     `n_hat` is the winning N' minus P. `lag_scores` maps every lag
     k = n_min..n_max, in order, to its lag statistic s(k). `floor_ratios`
     maps each shortlisted candidate N', in ascending order, to the
-    floor_ratio that ranked it; it is empty when L > P, where nothing is
-    scored and n_hat is the smallest candidate of the range minus P,
-    which carries no information. `eigen_spectra` maps each shortlisted
+    floor_ratio that ranked it. `eigen_spectra` maps each shortlisted
     candidate N' to the descending eigenvalues of its covariance, so any
     per-candidate statistic, the MDL curve included, can be recomputed
     with M' = len(stream) // N'.
@@ -309,11 +309,9 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     spectrum scored by floor_ratio; the lag scores, ratios and spectra are
     returned in the report. The candidate whose P - L + 1 smallest
     eigenvalues hold the least energy wins, ties going to the smallest
-    N'; the reported estimate is N' - P. For L > P the rank theorem
-    predicts no missing rank: the shortlist is segmented but nothing is
-    scored, and the smallest candidate of the range is reported. A stream
-    that is not 1-D, too short for the largest candidate of the range or
-    holding a NaN or infinite sample raises DataError.
+    N'; the reported estimate is N' - P. A stream that is not 1-D, too
+    short for the largest candidate of the range or holding a NaN or
+    infinite sample raises DataError.
 
     The scan runs on the stream scaled by the power of two 2^-e that puts
     its largest real or imaginary part in [0.5, 1); each spectrum is scaled
@@ -338,11 +336,10 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     top = np.argsort(-s, kind="stable")[:SHORTLIST]
     cands = [lags[i] + cfg.cp_len for i in sorted(top)]
     scanned = {n: hermitian_eigenvalues(covariance(segment(x, n))) for n in cands}
-    ratios = {n: floor_ratio(scanned[n], len(x) // n, cfg.missing)
-              for n in cands if cfg.missing > 0}
+    ratios = {n: floor_ratio(scanned[n], len(x) // n, cfg.missing) for n in cands}
     spectra = {n: np.ldexp(scanned[n], 2 * e) for n in cands}
     # the first minimum in scan order, so ties go to the smallest N'
-    best = min(ratios, key=ratios.get, default=cfg.candidates[0])
+    best = min(ratios, key=ratios.get)
     return EstimateReport(n_hat=best - cfg.cp_len, lag_scores=dict(zip(lags, s.tolist())),
                           floor_ratios=ratios, eigen_spectra=spectra)
 

@@ -72,7 +72,7 @@ class SweepSpec:
                     f"axis point {self.axis}={value}: channel ({chan.num_taps} taps) "
                     f"longer than one block ({ofdm.block_len} samples)"
                 )
-            if short := est.too_short(ofdm.stream_len):
+            if est is not None and (short := est.too_short(ofdm.stream_len)):
                 raise ConfigError(f"axis point {self.axis}={value}: {short}")
 
 
@@ -103,6 +103,9 @@ def point_configs(spec: SweepSpec, axis_value):
         # the other three axes are named after their OfdmConfig field
         ofdm = replace(ofdm, **{spec.axis: int(axis_value)})
     chan = ChannelConfig(num_taps=num_taps, snr_db=snr_db)
+    if num_taps > ofdm.cp_len:
+        # past the cyclic prefix no rank goes missing: no estimator, every trial a miss
+        return ofdm, chan, None
     est = EstimatorConfig(
         cp_len=ofdm.cp_len, num_taps=num_taps, n_min=spec.n_min, n_max=spec.n_max
     )
@@ -123,8 +126,11 @@ def simulate(ofdm_cfg: OfdmConfig, chan_cfg: ChannelConfig, seed) -> IqSequence:
 
 
 def run_trial(ofdm_cfg: OfdmConfig, chan_cfg: ChannelConfig,
-              est_cfg: EstimatorConfig, trial_seed) -> bool:
-    """One generate/channel/estimate round; True iff N was recovered."""
+              est_cfg: EstimatorConfig | None, trial_seed) -> bool:
+    """One generate/channel/estimate round; True iff N was recovered.
+    A point without an estimator (L > P) misses without drawing a stream."""
+    if est_cfg is None:
+        return False
     report = estimate_n(simulate(ofdm_cfg, chan_cfg, trial_seed), est_cfg)
     return report.n_hat == ofdm_cfg.n_subcarriers
 

@@ -181,15 +181,6 @@ class TestEstimate:
                   "--n-min", "12", "--n-max", "4"])
         assert rc == 1
 
-    def test_taps_beyond_cp_exits_one(self, tmp_path, capsys):
-        out = tmp_path / "cap.iq"
-        run(["generate", "--n", "8", "--cp", "3", "--symbols", "20",
-             "--blocks", "2", "--out", str(out)])
-        rc = run(["estimate", "--in", str(out), "--cp", "3", "--taps", "5",
-                  "--n-min", "4", "--n-max", "12"])
-        assert rc == 1
-        assert "cp" in capsys.readouterr().err
-
     def test_missing_file_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "none.iq"
         rc = run(["estimate", "--in", str(missing), "--cp", "7", "--taps", "4",
@@ -311,10 +302,6 @@ class TestRankCheck:
         assert "segment length 4: rank 3, expected 3" in out
         assert "(2, 4)" in out
 
-    def test_taps_beyond_cp_exits_one(self, capsys):
-        rc = run(["rank-check", "--taps", "3", "--cp", "2"])
-        assert rc == 1
-
     def test_negative_seed_exits_one(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(["rank-check", "--seed", "-1"])
@@ -372,3 +359,18 @@ def test_every_boundary_gives_one_length_message(capsys):
     assert str(scan.value) == rule
     assert str(spec.value) == f"axis point snr_db=10.0: {rule}"
     assert capsys.readouterr().err == f"error: {rule}\n"
+
+
+def test_every_boundary_gives_one_channel_message(tmp_path, capsys):
+    # L > P is refused where the config is built, before any file is read
+    def rule(taps, cp):
+        return f"num_taps must be <= cp_len, got num_taps={taps} cp_len={cp}"
+    with pytest.raises(ConfigError) as cfg:
+        EstimatorConfig(cp_len=7, num_taps=8, n_min=16, n_max=48)
+    assert run(["estimate", "--in", str(tmp_path / "none.iq"), "--cp", "7", "--taps", "8",
+                "--n-min", "16", "--n-max", "48"]) == 1
+    estimate = capsys.readouterr().err
+    assert run(["rank-check", "--cp", "2", "--taps", "3"]) == 1
+    assert str(cfg.value) == rule(8, 7)
+    assert estimate == f"error: {rule(8, 7)}\n"
+    assert capsys.readouterr().err == f"error: {rule(3, 2)}\n"

@@ -83,7 +83,7 @@ def reference_scan(x, cfg, shortlisted=True):
     """Plain serial scan, the oracle for estimate_n: (n_hat, lag scores,
     floor ratios, spectra). Scans the SHORTLIST lags of largest s, ties to
     the smaller lag, or with `shortlisted` false every candidate of the
-    range; L > P scores nothing and reports the range's smallest."""
+    range."""
     x = np.asarray(x, dtype=complex)
     e = math.frexp(np.max(np.abs(x.view(np.float64))))[1]
     x = np.ldexp(x.view(np.float64), -e).view(complex)
@@ -98,10 +98,9 @@ def reference_scan(x, cfg, shortlisted=True):
     for n_prime in candidates:
         seg = segment(x, n_prime)
         lam = hermitian_eigenvalues(covariance(seg))
-        if missing > 0:
-            ratios[n_prime] = floor_ratio(lam, seg.shape[1], missing)
+        ratios[n_prime] = floor_ratio(lam, seg.shape[1], missing)
         spectra[n_prime] = np.ldexp(lam, 2 * e)
-    best = min(ratios, key=ratios.get, default=cfg.candidates[0])
+    best = min(ratios, key=ratios.get)
     return best - cfg.cp_len, dict(zip(lags, s.tolist())), ratios, spectra
 
 
@@ -109,23 +108,20 @@ class TestEstimatorConfig:
     def test_candidate_range(self):
         cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=16)
         assert list(cfg.candidates) == list(range(7, 20))
-        # d = P - L + 1 at L < P, L = P and L > P
-        assert [replace(cfg, num_taps=taps).missing for taps in (2, 3, 4)] == [2, 1, 0]
+        # d = P - L + 1 at L < P and L = P
+        assert [replace(cfg, num_taps=taps).missing for taps in (2, 3)] == [2, 1]
 
     @pytest.mark.parametrize("kwargs", [
         dict(cp_len=0, num_taps=1, n_min=2, n_max=4),
         dict(cp_len=3, num_taps=0, n_min=2, n_max=4),
         dict(cp_len=3, num_taps=2, n_min=1, n_max=4),
         dict(cp_len=3, num_taps=2, n_min=8, n_max=4),
+        # a channel longer than the cyclic prefix leaves no rank missing
+        dict(cp_len=7, num_taps=9, n_min=16, n_max=48),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             EstimatorConfig(**kwargs)
-
-    def test_taps_beyond_cp_allowed(self):
-        # the failure regime must stay constructible for the sweeps
-        cfg = EstimatorConfig(cp_len=7, num_taps=9, n_min=16, n_max=48)
-        assert cfg.num_taps == 9
 
 
 class TestSegment:
@@ -423,22 +419,6 @@ class TestEstimateN:
         assert list(b.floor_ratios) == list(a.floor_ratios)
         assert list(b.floor_ratios.values()) == pytest.approx(list(a.floor_ratios.values()))
 
-    def test_channel_longer_than_cp_scores_nothing(self, monkeypatch):
-        # L > P: no rank is missing anywhere, so the smallest candidate is
-        # reported unscored; only the shortlist is segmented, as for L <= P
-        r = noisy_stream(8, 3, 5, m=60, k=2, seed=2, snr_db=30.0)
-        cfg = EstimatorConfig(cp_len=3, num_taps=5, n_min=4, n_max=16)
-        segmented = []
-        inner = estimator.segment
-        monkeypatch.setattr(estimator, "segment",
-                            lambda x, n_prime: segmented.append(n_prime) or inner(x, n_prime))
-        report = estimate_n(r, cfg)
-        assert report.n_hat == cfg.n_min
-        assert report.floor_ratios == {}
-        by_score = sorted(report.lag_scores, key=report.lag_scores.get, reverse=True)
-        shortlist = sorted(k + cfg.cp_len for k in by_score[:estimator.SHORTLIST])
-        assert segmented == shortlist == list(report.eigen_spectra)
-
     def test_pure_function_of_inputs(self):
         r = faded_stream(4, 2, 2, m=20, k=2, seed=4)
         cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=8)
@@ -492,13 +472,10 @@ class TestEstimateN:
             estimate_n(x, cfg)
 
     @staticmethod
-    def fig2_capture(scale="desk", taps=None):
+    def fig2_capture(scale="desk"):
         # the 10 dB point of a fig2 preset, seeded as
         # `ofdmblind generate --seed 3` seeds it
-        spec = load_preset("fig2", scale)
-        if taps is not None:
-            spec = replace(spec, num_taps=taps)
-        ofdm, chan, est = point_configs(spec, 10.0)
+        ofdm, chan, est = point_configs(load_preset("fig2", scale), 10.0)
         data_ss, chan_ss, noise_ss = np.random.SeedSequence(3).spawn(3)
         real = draw_realization(chan, ofdm.num_blocks, chan_ss)
         r = apply_block_channel(generate_stream(ofdm, data_ss), real, noise_ss)
@@ -532,13 +509,12 @@ class TestEstimateN:
         assert set(report.lag_scores.values()) == {0.0}
         assert list(report.floor_ratios) == [7, 8, 9]
 
-    @pytest.mark.parametrize("taps", [2, 5], ids=["scored", "taps-beyond-cp"])
-    def test_mdl_never_called(self, monkeypatch, taps):
+    def test_mdl_never_called(self, monkeypatch):
         # the floor ratio alone decides; MDL is only a diagnostic
         calls = []
         monkeypatch.setattr(estimator, "mdl", lambda *args: calls.append(args))
-        r = noisy_stream(8, 3, taps, m=30, k=2, seed=9, snr_db=20.0)
-        cfg = EstimatorConfig(cp_len=3, num_taps=taps, n_min=4, n_max=12)
+        r = noisy_stream(8, 3, 2, m=30, k=2, seed=9, snr_db=20.0)
+        cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=12)
         estimate_n(r, cfg)
         assert calls == []
 
@@ -571,20 +547,6 @@ class TestEstimateN:
             assert floor_ratio(lam, len(x) // n_prime, missing) == ratio
         best = min(report.floor_ratios, key=report.floor_ratios.get)
         assert report.n_hat == best - cfg.cp_len
-
-    def test_scans_in_the_calling_thread(self, monkeypatch):
-        # a paper-scale capture, 177450 samples, starts no thread: every
-        # candidate is segmented by the caller
-        x, est = self.fig2_capture("paper")
-        threads = []
-        inner = estimator.segment
-        monkeypatch.setattr(estimator, "segment",
-                            lambda x, n_prime: threads.append(threading.get_ident())
-                            or inner(x, n_prime))
-        before = threading.active_count()
-        assert estimate_n(x, est).n_hat == 64
-        assert threading.active_count() == before
-        assert threads == [threading.get_ident()] * estimator.SHORTLIST
 
     def test_concurrent_callers(self):
         # more callers than cores, as run_sweep's threads call estimate_n,
@@ -651,10 +613,9 @@ class TestParallelScan:
         return list(reports.values())
 
     @pytest.mark.parametrize("callers", [1, 2, 3, 8])
-    @pytest.mark.parametrize("scale, taps", [("desk", None), ("paper", None), ("desk", 9)],
-                             ids=["desk", "paper", "desk-taps-beyond-cp"])
-    def test_equals_serial_scan(self, monkeypatch, scale, taps, callers):
-        x, est = TestEstimateN.fig2_capture(scale, taps)
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    def test_equals_serial_scan(self, monkeypatch, scale, callers):
+        x, est = TestEstimateN.fig2_capture(scale)
         n_hat, lag_scores, ratios, spectra = reference_scan(x, est)
         for report in self.from_callers(monkeypatch, callers, x, est):
             assert report.n_hat == n_hat
@@ -664,12 +625,7 @@ class TestParallelScan:
             for n_prime, lam in spectra.items():
                 assert report.eigen_spectra[n_prime].tobytes() == lam.tobytes()
         assert len(spectra) == estimator.SHORTLIST
-        if taps is None:
-            assert n_hat == 32 if scale == "desk" else n_hat == 64
-        else:
-            # L > P: the shortlist segmented, nothing scored, the
-            # smallest candidate of the range reported
-            assert ratios == {} and n_hat == est.n_min
+        assert n_hat == 32 if scale == "desk" else n_hat == 64
 
     @pytest.mark.parametrize("callers", [1, 2, 3])
     def test_tie_goes_to_smaller_candidate(self, monkeypatch, callers):

@@ -152,22 +152,27 @@ class TestRunTrial:
         b = run_trial(ofdm, chan, est, (0, 0, 5))
         assert a == b
 
-    def test_channel_longer_than_cp_misses(self):
-        # L = 9 against P = 7 destroys the rank signature
+    def test_channel_longer_than_cp_misses(self, monkeypatch):
+        # L = 8 and 9 against P = 7 leave no rank missing: each trial is a
+        # miss without a stream drawn, even where N = n_min
+        def no_simulation(*args):
+            raise AssertionError("a trial past the cyclic prefix drew a stream")
+
+        monkeypatch.setattr("ofdmblind.harness.simulate", no_simulation)
         spec = SweepSpec(
             axis="num_taps",
-            axis_values=(9,),
-            ofdm=OfdmConfig(n_subcarriers=32, cp_len=7, symbols_per_block=100,
+            axis_values=(8, 9),
+            ofdm=OfdmConfig(n_subcarriers=16, cp_len=7, symbols_per_block=100,
                             num_blocks=2),
-            num_taps=9,
+            num_taps=6,
             snr_db=10.0,
             n_min=16,
             n_max=48,
-            trials=1,
+            trials=20,
             master_seed=0,
         )
-        ofdm, chan, est = point_configs(spec, 9)
-        assert run_trial(ofdm, chan, est, (0, 0, 0)) is False
+        assert point_configs(spec, 8)[2] is None
+        assert [pt.pd for pt in run_sweep(spec, workers=2).points] == [0.0, 0.0]
 
 
 class TestWilsonHalfwidth:
