@@ -181,6 +181,15 @@ class TestEstimate:
                   "--n-min", "12", "--n-max", "4"])
         assert rc == 1
 
+    def test_taps_beyond_cp_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "cap.iq"
+        run(["generate", "--n", "8", "--cp", "3", "--symbols", "20",
+             "--blocks", "2", "--out", str(out)])
+        rc = run(["estimate", "--in", str(out), "--cp", "3", "--taps", "5",
+                  "--n-min", "4", "--n-max", "12"])
+        assert rc == 1
+        assert "cp" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "none.iq"
         rc = run(["estimate", "--in", str(missing), "--cp", "7", "--taps", "4",
@@ -301,6 +310,10 @@ class TestRankCheck:
         out = capsys.readouterr().out
         assert "segment length 4: rank 3, expected 3" in out
         assert "(2, 4)" in out
+
+    def test_taps_beyond_cp_exits_one(self, capsys):
+        rc = run(["rank-check", "--taps", "3", "--cp", "2"])
+        assert rc == 1
 
     def test_negative_seed_exits_one(self, capsys):
         with pytest.raises(SystemExit) as err:
