@@ -4,7 +4,12 @@ Each transmit block of T samples sees its own L-tap impulse response,
 drawn independently per block and held constant within it. Because the
 convolution tail of block k-1 spills into the first L-1 samples of
 block k, the channel is applied as one streaming convolution whose taps
-switch at block boundaries, not as K isolated convolutions.
+switch at block boundaries, not as K isolated convolutions. It runs
+block by block through one buffer of L-1+T samples: the last L-1 samples
+of the previous block (zeros before block 0) followed by this block, so
+the only stream-sized array written is the received stream itself. The
+noise is then drawn block by block into that same buffer, in the order
+of one whole-stream draw.
 
 Each tap is circular complex Gaussian with variance 1/L, so the expected
 channel energy E||h_k||^2 is one and the received signal power matches
@@ -87,12 +92,15 @@ def apply_block_channel(s: IqSequence, real: ChannelRealization, noise_seed=None
     where H_k is the T x T lower-triangular Toeplitz matrix of the block's
     taps and B_k carries the convolution tail of the previous block into
     the first L-1 samples of this one (B_1 is identically zero). Rather
-    than forming those matrices, the stream is padded once with L-1 zeros
+    than forming those matrices, each block is copied into one buffer
+    behind the L-1 samples that precede it, zeros before the first block,
     and each output sample is the product of its window of the last L
-    transmit samples, which reaches into the previous block, with its
-    own block's reversed taps: one batched product over a (K, T, L)
-    window view. The two formulations agree to rounding, which the test
-    suite checks against explicitly built H and B.
+    transmit samples in that buffer with its block's reversed taps: one
+    (T, L) by (L,) product per block over a window view of the buffer,
+    written straight into the block's slice of the output. The buffer's
+    last L-1 samples then carry over to the next block. The two
+    formulations agree to rounding, which the test suite checks against
+    explicitly built H and B.
 
     Noise is i.i.d. circular complex Gaussian with variance real.noise_var,
     drawn from noise_seed. The seed may be omitted only for the noiseless
@@ -109,25 +117,32 @@ def apply_block_channel(s: IqSequence, real: ChannelRealization, noise_seed=None
     if l > t:
         raise ConfigError(f"channel ({l} taps) longer than one block ({t} samples)")
 
-    # Row i of the window view holds x[i-L+1] .. x[i] of the padded
-    # stream, so its product with block k's reversed taps is the
-    # convolution sample r[i]. numpy runs the product over the strided
-    # view itself; the (K, T, L) windows are never copied.
-    padded = np.concatenate([np.zeros(l - 1, dtype=complex), x])
-    windows = sliding_window_view(padded, l).reshape(k, t, l)
-    out = (windows @ real.taps[:, ::-1, None]).reshape(-1)
+    # Row i of the window view holds buf[i] .. buf[i+L-1], transmit
+    # samples i-L+1 .. i of the block, so its product with the block's
+    # reversed taps is the convolution sample r[i]. numpy runs the product
+    # over the strided view itself; the (T, L) windows are never copied.
+    out = np.empty(len(x), dtype=complex)
+    buf = np.zeros(l - 1 + t, dtype=complex)
+    windows = sliding_window_view(buf, l)
+    for taps, block, r in zip(real.taps, x.reshape(k, t), out.reshape(k, t)):
+        buf[l - 1:] = block
+        np.matmul(windows, taps[::-1], out=r)
+        buf[:l - 1] = buf[t:]
 
     if real.noise_var > 0:
         if noise_seed is None:
             raise ConfigError("noise_seed is required when noise_var > 0")
         rng = np.random.default_rng(noise_seed)
         sigma = math.sqrt(real.noise_var / 2.0)
-        # the real parts' draw, then the imaginary parts', each scaled and
-        # added in place: bitwise sigma * (a + 1j * b) without its temporaries
-        w = np.empty(len(x))
+        # the real parts' draw, then the imaginary parts', block by block
+        # into the window buffer's first T floats, each scaled and added in
+        # place: the same values in the same order as one whole-stream
+        # draw, bitwise sigma * (a + 1j * b) without its temporaries
+        w = buf.view(np.float64)[:t]
         for part in (out.real, out.imag):
-            rng.standard_normal(out=w)
-            w *= sigma
-            part += w
+            for r in part.reshape(k, t):
+                rng.standard_normal(out=w)
+                w *= sigma
+                r += w
 
     return IqSequence(samples=out)

@@ -34,9 +34,11 @@ range holding a multiple of N+P, which loses 2d or more ranks, the
 unnormalized quotient picks the multiple. The candidate with the smallest
 floor_ratio wins, ties going to the smallest N', and the estimate is
 N = N' - P. Every quotient is scale invariant, and estimate_n keeps it
-so over the whole floating-point range by scanning the stream rescaled
-by a power of two. For L > P no rank goes missing at any candidate, so
-EstimatorConfig refuses such a channel.
+so over the whole floating-point range: a stream whose largest part is
+within a factor 2^SCALE_WINDOW of 1 is scanned as it is, and any other
+one rescaled by the power of two that brings that part into [0.5, 1).
+For L > P no rank goes missing at any candidate, so EstimatorConfig
+refuses such a channel.
 
 estimate_n does not segment every candidate. It first ranks the lags
 k = n_min..n_max by the cyclic-prefix lag correlation
@@ -101,6 +103,15 @@ SHORTLIST = 3
 # which with its tail of up to n_max samples stays in cache while every
 # lag's dot product runs over it.
 LAG_CHUNK = 1 << 16
+
+# estimate_n scans a stream in place when the exponent e of its largest
+# real or imaginary part, 2^(e-1) <= peak < 2^e, has |e| <= SCALE_WINDOW.
+# Then, in place or scaled by 2^-e, every product of two nonzero parts of
+# a complex64 capture (each at least 2^-149) lies in [2^-556, 2^257], so
+# every square, sum and covariance entry is normal and finite, and the
+# largest entry lies inside [2^-485, 2^485], where LAPACK's eigensolver
+# takes its input without scaling it: both scans round alike.
+SCALE_WINDOW = 128
 
 
 @dataclass(frozen=True)
@@ -313,23 +324,34 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     short for the largest candidate of the range or holding a NaN or
     infinite sample raises DataError.
 
-    The scan runs on the stream scaled by the power of two 2^-e that puts
-    its largest real or imaginary part in [0.5, 1); each spectrum is scaled
-    back by 2^(2e). Power-of-two scaling is exact, so the shortlist, the
-    decision and the floor ratios do not depend on the stream's scale over
-    the whole float range. An all-zero stream has s = 0 at every lag and
-    reports the smallest candidate.
+    Let 2^(e-1) <= peak < 2^e bound the stream's largest real or
+    imaginary part. With |e| <= SCALE_WINDOW the scan reads the caller's
+    samples as they are, copying nothing stream-sized, and the spectra
+    come out in the stream's units. Outside the window a square or a
+    covariance entry could underflow or overflow, so the scan runs on the
+    stream scaled by 2^-e, which puts the peak in [0.5, 1), and each
+    spectrum is scaled back by 2^(2e). Scaling by a power of two is exact
+    while every intermediate value stays normal, and inside the window it
+    does, so a scan in place reports the same bits as a rescaled one: the
+    shortlist, the decision and the floor ratios do not depend on the
+    stream's scale over the whole float range. An all-zero stream has
+    s = 0 at every lag and reports the smallest candidate.
     """
     x = _samples(r)
     if x.ndim != 1:
         raise DataError(f"the stream must be 1-D, got shape {x.shape}")
     if short := cfg.too_short(len(x)):
         raise DataError(short)
-    peak = np.max(np.abs(x.view(np.float64)))
+    v = x.view(np.float64)
+    # the largest |part| without an |x| temporary; a NaN propagates through both
+    peak = max(v.max(), -v.min())
     if not np.isfinite(peak):
         raise DataError("the stream holds NaN or infinite samples")
     e = math.frexp(peak)[1]
-    x = np.ldexp(x.view(np.float64), -e).view(complex)
+    if abs(e) > SCALE_WINDOW:
+        x = np.ldexp(v, -e).view(complex)
+    else:
+        e = 0
     lags = range(cfg.n_min, cfg.n_max + 1)
     s = lag_statistic(x, lags)
     # a stable sort keeps ties in lag order, so the smaller lag wins

@@ -65,6 +65,10 @@ class SweepSpec:
         for value in self.axis_values:
             try:
                 ofdm, chan, est = point_configs(self, value)
+                # a point past the cyclic prefix has no estimator, but its
+                # candidate range is checked all the same, as at L = P
+                est = est or EstimatorConfig(cp_len=ofdm.cp_len, num_taps=ofdm.cp_len,
+                                             n_min=self.n_min, n_max=self.n_max)
             except ConfigError as err:
                 raise ConfigError(f"axis point {self.axis}={value}: {err}") from None
             if chan.num_taps > ofdm.block_len:
@@ -72,7 +76,7 @@ class SweepSpec:
                     f"axis point {self.axis}={value}: channel ({chan.num_taps} taps) "
                     f"longer than one block ({ofdm.block_len} samples)"
                 )
-            if est is not None and (short := est.too_short(ofdm.stream_len)):
+            if short := est.too_short(ofdm.stream_len):
                 raise ConfigError(f"axis point {self.axis}={value}: {short}")
 
 

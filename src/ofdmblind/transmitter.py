@@ -98,15 +98,17 @@ def qam_constellation(mod_order: int) -> np.ndarray:
     return (level[i >> half] + 1j * level[i & (side - 1)]) / np.sqrt(2.0 * (mod_order - 1) / 3.0)
 
 
-def idft_apply(freq_block: np.ndarray) -> np.ndarray:
+def idft_apply(freq_block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the unitary inverse DFT to each column of an N x M block.
 
     Returns (1/sqrt(N)) * Q^H @ freq_block, Q the DFT matrix with entry
     (p, q) = exp(-2j*pi*p*q/N), so per-column energy is preserved and a
     unit-power constellation stays unit power in time. It is computed by
-    FFT, without forming Q.
+    FFT, without forming Q. `out`, an N x M complex array that may be a
+    strided view, receives the result in place of a new array and is
+    returned.
     """
-    return np.fft.ifft(freq_block, axis=0, norm="ortho")
+    return np.fft.ifft(freq_block, axis=0, norm="ortho", out=out)
 
 
 def generate_stream(cfg: OfdmConfig, seed) -> IqSequence:
@@ -116,15 +118,16 @@ def generate_stream(cfg: OfdmConfig, seed) -> IqSequence:
     Generator). Each symbol is a uniform draw of an index into
     qam_constellation, the same as Gray-mapping i.i.d. uniform bits.
     Row j of a block is symbol j: its N IDFT samples, column j of the
-    block's IDFT, are written after a P-sample slot that then receives
-    their last P samples, so each symbol is written into the stream once.
+    block's IDFT, are written straight into the stream after a P-sample
+    slot that then receives their last P samples, so each symbol is
+    written into the stream once and no block-sized result is copied.
     """
     rng = np.random.default_rng(seed)
     points = qam_constellation(cfg.mod_order)
     n, p, m = cfg.n_subcarriers, cfg.cp_len, cfg.symbols_per_block
     stream = np.empty((cfg.num_blocks, m, cfg.symbol_len), dtype=complex)
     for block in stream:
-        block[:, p:] = idft_apply(points[rng.integers(0, cfg.mod_order, size=(n, m))]).T
+        idft_apply(points[rng.integers(0, cfg.mod_order, size=(n, m))], out=block[:, p:].T)
         block[:, :p] = block[:, n:]
     return IqSequence(samples=stream.reshape(-1))
 

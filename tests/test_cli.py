@@ -387,3 +387,26 @@ def test_every_boundary_gives_one_channel_message(tmp_path, capsys):
     assert str(cfg.value) == rule(8, 7)
     assert estimate == f"error: {rule(8, 7)}\n"
     assert capsys.readouterr().err == f"error: {rule(3, 2)}\n"
+
+
+def test_every_boundary_gives_one_range_message(tmp_path, capsys):
+    # a reversed range is refused whatever L, past the cyclic prefix too,
+    # where no point of the sweep builds an estimator
+    rule = "n_max 4 below n_min 40"
+    with pytest.raises(ConfigError) as cfg:
+        EstimatorConfig(cp_len=7, num_taps=6, n_min=40, n_max=4)
+    ofdm = OfdmConfig(n_subcarriers=32, cp_len=7, symbols_per_block=100, num_blocks=2)
+    for taps in (6, 9):
+        with pytest.raises(ConfigError) as spec:
+            SweepSpec(axis="snr_db", axis_values=(10.0,), ofdm=ofdm, num_taps=taps,
+                      snr_db=10.0, n_min=40, n_max=4, trials=1, master_seed=0)
+        assert str(spec.value) == f"axis point snr_db=10.0: {rule}"
+    spec_file = tmp_path / "sweeps.ini"
+    quick = SPEC_TEXT.split("\n\n")[0]
+    spec_file.write_text(quick.replace("taps = 2", "taps = 9").replace("n_min = 4", "n_min = 40")
+                         .replace("n_max = 12", "n_max = 4"))
+    out = tmp_path / "x.csv"
+    assert run(["sweep", "--spec", str(spec_file), "--out", str(out)]) == 1
+    assert str(cfg.value) == rule
+    assert capsys.readouterr().err == f"error: axis point snr_db=0.0: {rule}\n"
+    assert not out.exists()

@@ -8,6 +8,7 @@ against a plain serial scan of the shortlist and of the whole range.
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -498,6 +499,46 @@ class TestEstimateN:
         with np.errstate(over="ignore"):
             for scale in (1e160, 1e300):
                 assert estimate_n(scale * x, est).n_hat == 32
+
+    def test_scale_window_edges_change_no_bit(self):
+        # in place at 2^k for k = 0, +-1 and at either edge of the scale
+        # window, rescaled one step past either edge: the same decision,
+        # lag scores and floor ratios, and spectra 2^(2k) times those at
+        # k = 0, all equal to the always-rescaling serial scan
+        x, est = self.fig2_capture()
+        e = math.frexp(np.max(np.abs(x.view(np.float64))))[1]
+        w = estimator.SCALE_WINDOW
+        base = estimate_n(x, est)
+        for k in (0, 1, -1, w - e, -w - e, w + 1 - e, -w - 1 - e):
+            xk = np.ldexp(x.view(np.float64), k).view(complex)
+            report = estimate_n(xk, est)
+            n_hat, _, _, spectra = reference_scan(xk, est)
+            assert report.n_hat == base.n_hat == n_hat
+            assert list(report.lag_scores.items()) == list(base.lag_scores.items())
+            assert list(report.floor_ratios.items()) == list(base.floor_ratios.items())
+            assert list(report.eigen_spectra) == list(spectra)
+            for n_prime, lam in report.eigen_spectra.items():
+                want = np.ldexp(base.eigen_spectra[n_prime], 2 * k)
+                assert lam.tobytes() == want.tobytes() == spectra[n_prime].tobytes()
+
+    def test_scans_the_callers_samples_in_place(self, monkeypatch):
+        # inside the scale window nothing stream-sized is allocated: the
+        # lag statistic and the segments read the caller's array. A
+        # rescaled copy and an |x| temporary would take 1.13 streams; at
+        # this 177500-sample capture the covariances take 0.13
+        x, est = self.fig2_capture("paper")
+        seen = []
+        inner = estimator.lag_statistic
+        monkeypatch.setattr(estimator, "lag_statistic",
+                            lambda v, lags: seen.append(v) or inner(v, lags))
+        tracemalloc.start()
+        try:
+            estimate_n(x, est)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seen) == 1 and np.shares_memory(seen[0], x)
+        assert peak < 0.5 * x.nbytes
 
     def test_all_zero_stream_reports_smallest_candidate(self):
         # s = 0 at every lag, not 0/0, so the shortlist is the three
