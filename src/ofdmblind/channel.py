@@ -85,7 +85,7 @@ def draw_realization(cfg: ChannelConfig, num_blocks: int, seed) -> ChannelRealiz
     return ChannelRealization(taps=taps, noise_var=calibrate_noise(cfg.snr_db))
 
 
-def apply_block_channel(s: IqSequence, real: ChannelRealization, noise_seed=None) -> IqSequence:
+def apply_block_channel(s, real: ChannelRealization, noise_seed=None) -> IqSequence:
     """Push a stream through the block-fading channel and add noise.
 
     Per block k the received samples satisfy r_k = H_k s_k + B_k s_{k-1} + w_k,
@@ -106,7 +106,7 @@ def apply_block_channel(s: IqSequence, real: ChannelRealization, noise_seed=None
     drawn from noise_seed. The seed may be omitted only for the noiseless
     case, so silent noise reuse across trials is impossible.
     """
-    x = s.samples if isinstance(s, IqSequence) else np.asarray(s, dtype=complex)
+    x = np.asarray(s, dtype=complex)
     if x.ndim != 1:
         raise DataError(f"the stream must be 1-D, got shape {x.shape}")
     k = real.num_blocks

@@ -96,7 +96,7 @@ def cmd_generate(args) -> int:
         mod_order=args.mod,
     )
     received = simulate(cfg, ChannelConfig(num_taps=args.taps, snr_db=args.snr_db), args.seed)
-    count = write_iq_file(args.out, received.samples)
+    count = write_iq_file(args.out, received)
     fields = {key: getattr(cfg, field) for key, field in OFDM_KEYS.items()}
     write_section(f"{args.out}.meta", "generate", {
         **fields, "taps": args.taps, "snr_db": repr(args.snr_db), "seed": args.seed})

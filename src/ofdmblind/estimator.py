@@ -74,7 +74,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .transmitter import IqSequence
 
 # Eigenvalues are floored at this fraction of the largest one before any
 # logarithm or quotient. A purely absolute floor would let the
@@ -186,11 +185,6 @@ class EstimateReport:
     eigen_spectra: dict
 
 
-def _samples(r) -> np.ndarray:
-    """The stream as a C-contiguous complex128 array, copied only if needed."""
-    return np.ascontiguousarray(r.samples if isinstance(r, IqSequence) else r, dtype=complex)
-
-
 def segment(r, n_prime: int) -> np.ndarray:
     """Reshape the stream into its N' x M' segment matrix.
 
@@ -199,7 +193,7 @@ def segment(r, n_prime: int) -> np.ndarray:
     Trailing samples short of a full segment are discarded. The caller
     guarantees N' >= 1 and N'^2 samples, so M' >= N', as too_short checks.
     """
-    x = _samples(r)
+    x = np.ascontiguousarray(r, dtype=complex)
     m_prime = len(x) // n_prime
     return x[:n_prime * m_prime].reshape(n_prime, m_prime, order="F")
 
@@ -337,7 +331,7 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     stream's scale over the whole float range. An all-zero stream has
     s = 0 at every lag and reports the smallest candidate.
     """
-    x = _samples(r)
+    x = np.ascontiguousarray(r, dtype=complex)
     if x.ndim != 1:
         raise DataError(f"the stream must be 1-D, got shape {x.shape}")
     if short := cfg.too_short(len(x)):

@@ -101,6 +101,8 @@ def point_configs(spec: SweepSpec, axis_value):
     num_taps, snr_db = spec.num_taps, spec.snr_db
     if spec.axis == "snr_db":
         snr_db = float(axis_value)
+    elif not float(axis_value).is_integer():
+        raise ConfigError(f"{spec.axis} must be a whole number")
     elif spec.axis == "num_taps":
         num_taps = int(axis_value)
     else:

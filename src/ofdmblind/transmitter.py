@@ -79,6 +79,9 @@ class IqSequence:
     def __len__(self) -> int:
         return len(self.samples)
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.samples, dtype=dtype, copy=copy)
+
 
 def qam_constellation(mod_order: int) -> np.ndarray:
     """All mod_order points of unit-power square QAM, Gray-ordered per axis.
@@ -144,7 +147,7 @@ def write_iq_file(path, samples: np.ndarray) -> int:
     if np.any(np.isfinite(arr.view(np.float64)) & ~np.isfinite(raw.view("<f4"))):
         raise DataError(f"{path}: a sample part exceeds the complex64 range")
     raw.tofile(path)
-    return len(arr)
+    return arr.size
 
 
 def read_iq_file(path) -> np.ndarray:

@@ -5,7 +5,9 @@ rank claims against an SVD oracle, duplicate rows against brute-force
 row comparison on noise-free faded streams, and the shortlisted scan
 against a plain serial scan of the shortlist and of the whole range.
 """
+import ast
 import math
+import pathlib
 import sys
 import threading
 import tracemalloc
@@ -521,19 +523,22 @@ class TestEstimateN:
                 want = np.ldexp(base.eigen_spectra[n_prime], 2 * k)
                 assert lam.tobytes() == want.tobytes() == spectra[n_prime].tobytes()
 
-    def test_scans_the_callers_samples_in_place(self, monkeypatch):
+    @pytest.mark.parametrize("wrap", [np.asarray, IqSequence], ids=["array", "IqSequence"])
+    def test_scans_the_callers_samples_in_place(self, monkeypatch, wrap):
         # inside the scale window nothing stream-sized is allocated: the
-        # lag statistic and the segments read the caller's array. A
-        # rescaled copy and an |x| temporary would take 1.13 streams; at
-        # this 177500-sample capture the covariances take 0.13
+        # lag statistic and the segments read the caller's array, bare or
+        # wrapped as run_trial passes it. A rescaled copy and an |x|
+        # temporary would take 1.13 streams; at this 177500-sample capture
+        # the covariances take 0.13
         x, est = self.fig2_capture("paper")
+        r = wrap(x)
         seen = []
         inner = estimator.lag_statistic
         monkeypatch.setattr(estimator, "lag_statistic",
                             lambda v, lags: seen.append(v) or inner(v, lags))
         tracemalloc.start()
         try:
-            estimate_n(x, est)
+            estimate_n(r, est)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -589,46 +594,19 @@ class TestEstimateN:
         best = min(report.floor_ratios, key=report.floor_ratios.get)
         assert report.n_hat == best - cfg.cp_len
 
-    def test_concurrent_callers(self):
-        # more callers than cores, as run_sweep's threads call estimate_n,
-        # switching threads every 10 us: every report equals the reference
-        r = faded_stream(4, 2, 2, m=30, k=2, seed=4).samples
-        cfg = EstimatorConfig(cp_len=2, num_taps=2, n_min=2, n_max=12)
-        want = reference_scan(r, cfg)
-        got = []
-
-        def caller():
-            for _ in range(20):
-                report = estimate_n(r, cfg)
-                got.append((report.n_hat, report.floor_ratios,
-                            [lam.tobytes() for lam in report.eigen_spectra.values()]))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            callers = [threading.Thread(target=caller) for _ in range(4)]
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in callers)
-        assert len(got) == 80
-        want_bytes = [lam.tobytes() for lam in want[3].values()]
-        assert all(g == (want[0], want[2], want_bytes) for g in got)
-
 
 class TestParallelScan:
     """Parallelism lives in run_sweep's threads: estimate_n scans in the
-    thread that calls it. From one to eight callers at once, every report
-    equals a plain serial loop over the same steps bitwise, and each
-    candidate is segmented by the caller that asked for it."""
+    thread that calls it. From one to eight callers at once, each calling
+    repeatedly while the interpreter switches threads every 10 us, every
+    report equals a plain serial loop over the same steps bitwise, and
+    each candidate is segmented by the caller that asked for it."""
 
     @staticmethod
     def from_callers(monkeypatch, callers, *args):
-        """Call estimate_n(*args) from `callers` threads at once; returns
-        the reports, once no thread but the callers has segmented and
-        none outlives the calls."""
+        """Call estimate_n(*args) three times from each of `callers`
+        threads at once; returns the reports, once no thread but the
+        callers has segmented and none outlives the calls."""
         segmented_by = []
         inner = estimator.segment
         monkeypatch.setattr(estimator, "segment",
@@ -640,18 +618,23 @@ class TestParallelScan:
 
         def caller():
             start.wait(timeout=60)
-            reports[threading.get_ident()] = estimate_n(*args)
+            reports[threading.get_ident()] = [estimate_n(*args) for _ in range(3)]
         threads = [threading.Thread(target=caller) for _ in range(callers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert threading.active_count() == before
         assert len(reports) == callers
-        assert Counter(segmented_by) == {ident: len(report.eigen_spectra)
-                                         for ident, report in reports.items()}
-        return list(reports.values())
+        assert Counter(segmented_by) == {ident: sum(len(r.eigen_spectra) for r in rs)
+                                         for ident, rs in reports.items()}
+        return [r for rs in reports.values() for r in rs]
 
     @pytest.mark.parametrize("callers", [1, 2, 3, 8])
     @pytest.mark.parametrize("scale", ["desk", "paper"])
@@ -679,6 +662,21 @@ class TestParallelScan:
         for report in self.from_callers(monkeypatch, callers, r, cfg):
             assert report.n_hat == 11 - cfg.cp_len
             assert list(report.floor_ratios) == [10, 11, 12]
+
+
+class TestReceiverStandsAlone:
+    def test_estimator_imports_nothing_from_the_simulator(self):
+        # the receiver reads a plain array of IQ samples; it needs no
+        # transmitter, channel or sweep harness to do so
+        names = set()
+        for node in ast.walk(ast.parse(pathlib.Path(estimator.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
+        parts = {part for name in names for part in name.split(".")}
+        assert "errors" in parts
+        assert not parts & {"transmitter", "channel", "harness"}
 
 
 class TestDuplicateRows:

@@ -102,6 +102,20 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match=r"holds 280: 18 segments of 18 samples, one per"):
             small_spec(axis="n_subcarriers", axis_values=(8, 4), n_max=15)
 
+    @pytest.mark.parametrize("axis,value", [
+        ("num_taps", 2.5), ("n_subcarriers", 16.7), ("cp_len", 3.5), ("mod_order", 16.5),
+        ("num_taps", float("nan")), ("num_taps", float("inf")),
+    ])
+    def test_fractional_point_on_integer_axis_rejected(self, axis, value):
+        # it would run truncated, and its sidecar would rerun the truncated
+        # point, not the one its CSV row names
+        with pytest.raises(ConfigError, match=rf"axis point {axis}={value}: .*whole number"):
+            replace(load_preset("fig3"), axis=axis, axis_values=(value,), trials=2)
+
+    def test_whole_float_on_integer_axis_accepted(self):
+        spec = replace(load_preset("fig3"), axis_values=(2.0,), trials=2)
+        assert point_configs(spec, 2.0)[1].num_taps == 2
+
     def test_channel_longer_than_block_rejected(self):
         # T = 3 samples per block against 4 taps, while the stream's 300
         # samples fill the only candidate N'=3, which needs 9

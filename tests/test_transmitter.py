@@ -99,8 +99,8 @@ class TestMapQam:
         }[mod]
 
 
-class TestSerializeBlock:
-    """generate_stream serializes each CP block column by column."""
+class TestSymbolLayout:
+    """generate_stream lays each symbol out as its CP, then its N IDFT samples."""
 
     def test_column_stacking(self):
         # every run of N+P samples is one symbol: CP, then N samples whose
@@ -169,6 +169,15 @@ class TestGenerateStream:
         with pytest.raises(ValueError):
             seq.samples[0] = 2.0
 
+    def test_numpy_reads_the_samples(self):
+        # np.asarray shares the read-only samples; np.array copies them
+        seq = IqSequence(samples=np.arange(4, dtype=complex))
+        view = np.asarray(seq)
+        assert np.shares_memory(view, seq.samples) and not view.flags.writeable
+        copy = np.array(seq)
+        assert not np.shares_memory(copy, seq.samples) and copy.flags.writeable
+        assert np.array_equal(copy, seq.samples)
+
 
 class TestIqFiles:
     def test_roundtrip(self, tmp_path):
@@ -181,6 +190,18 @@ class TestIqFiles:
         # float32 quantization on the way out
         assert np.max(np.abs(back - samples)) < 1e-6
         assert path.stat().st_size == 50 * 8
+
+    def test_iq_sequence_written_as_its_samples(self, tmp_path):
+        seq = generate_stream(appendix_cfg(), 5)
+        assert write_iq_file(tmp_path / "seq.iq", seq) == 16
+        assert write_iq_file(tmp_path / "arr.iq", seq.samples) == 16
+        assert (tmp_path / "seq.iq").read_bytes() == (tmp_path / "arr.iq").read_bytes()
+
+    def test_count_is_every_sample_written(self, tmp_path):
+        # a 2-D array is written flat, and all of its samples are counted
+        path = tmp_path / "grid.iq"
+        assert write_iq_file(path, np.ones((2, 4), dtype=complex)) == 8
+        assert len(read_iq_file(path)) == 8
 
     def test_odd_float_count_rejected(self, tmp_path):
         path = tmp_path / "bad.iq"
