@@ -32,26 +32,24 @@ with N'/M' rows per column. Without it a longer candidate, whose
 covariance is averaged over fewer columns, wins by spread alone: on a
 range holding a multiple of N+P, which loses 2d or more ranks, the
 unnormalized quotient picks the multiple. The candidate with the smallest
-floor_ratio wins, ties going to the smallest N', and the estimate is
-N = N' - P. Every quotient is scale invariant, and estimate_n keeps it
-so over the whole floating-point range: a stream whose largest part is
-within a factor 2^SCALE_WINDOW of 1 is scanned as it is, and any other
-one rescaled by the power of two that brings that part into [0.5, 1).
-For L > P no rank goes missing at any candidate, so EstimatorConfig
-refuses such a channel.
+floor_ratio wins, and the estimate is N = N' - P. Every quotient is
+scale invariant, and scaled_stream keeps it so over the whole
+floating-point range. For L > P no rank goes missing at any candidate,
+so EstimatorConfig refuses such a channel.
 
-estimate_n does not segment every candidate. It first ranks the lags
-k = n_min..n_max by the cyclic-prefix lag correlation
+estimate_n is three steps. (a) scaled_stream checks the stream and
+brings it to a scale where nothing underflows or overflows. (b)
+shortlist ranks the lags k = n_min..n_max by the cyclic-prefix lag
+correlation
 
     s(k) = |sum_n x[n] conj(x[n+k])| / sum_n |x[n]|^2
 
-(van de Beek, Sandell and Boerjesson, IEEE TSP 1997). Each prefix sample
-repeats the sample N later, so s peaks at k = N; at any other lag the
-samples are independent and s is small. The SHORTLIST lags with the
-largest s, ties going to the smaller lag, become the candidates k + P,
-and only these are segmented, eigendecomposed and scored. The lag
-statistic needs no P, no L and no alignment, costs one pass over the
-stream per lag, summed in cache-sized chunks, and has no peak at a
+(van de Beek, Sandell and Boerjesson, IEEE TSP 1997) and keeps the
+candidates k + P of the best few. (c) score_candidates segments,
+eigendecomposes and scores only these. Each prefix sample repeats the
+sample N later, so s peaks at k = N; at any other lag the samples are
+independent and s is small. The lag statistic needs no P, no L and no
+alignment, costs one pass over the stream per lag, and has no peak at a
 multiple of N+P.
 
 The floor ratio is the only statistic the scan computes. The MDL curve
@@ -103,13 +101,13 @@ SHORTLIST = 3
 # lag's dot product runs over it.
 LAG_CHUNK = 1 << 16
 
-# estimate_n scans a stream in place when the exponent e of its largest
-# real or imaginary part, 2^(e-1) <= peak < 2^e, has |e| <= SCALE_WINDOW.
-# Then, in place or scaled by 2^-e, every product of two nonzero parts of
-# a complex64 capture (each at least 2^-149) lies in [2^-556, 2^257], so
-# every square, sum and covariance entry is normal and finite, and the
-# largest entry lies inside [2^-485, 2^485], where LAPACK's eigensolver
-# takes its input without scaling it: both scans round alike.
+# The window of stream scales that scaled_stream leaves as they are.
+# Inside it, as they are or scaled by 2^-e, every product of two nonzero
+# parts of a complex64 capture (each at least 2^-149) lies in
+# [2^-556, 2^257], so every square, sum and covariance entry is normal and
+# finite, and the largest entry lies inside [2^-485, 2^485], where
+# LAPACK's eigensolver takes its input without scaling it. Scaling by a
+# power of two is then exact, and both scans round alike.
 SCALE_WINDOW = 128
 
 
@@ -303,33 +301,17 @@ def lag_statistic(x: np.ndarray, lags) -> np.ndarray:
     return s / energy if energy else s
 
 
-def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
-    """Shortlist candidate segment lengths by their lag statistic, and
-    pick the best-matching N among them by the floor ratio.
+def scaled_stream(r, cfg: EstimatorConfig) -> tuple:
+    """Step (a): the stream as a 1-D complex array x = r * 2^-e, and e.
 
-    The lag statistic s(k) is computed for every lag k of the range, and
-    the SHORTLIST lags with the largest s, ties going to the smaller lag,
-    give the candidates N' = k + P, scanned in ascending order. Each is
-    segmented, its covariance eigendecomposed once, and the descending
-    spectrum scored by floor_ratio; the lag scores, ratios and spectra are
-    returned in the report. The candidate whose P - L + 1 smallest
-    eigenvalues hold the least energy wins, ties going to the smallest
-    N'; the reported estimate is N' - P. A stream that is not 1-D, too
-    short for the largest candidate of the range or holding a NaN or
-    infinite sample raises DataError.
-
-    Let 2^(e-1) <= peak < 2^e bound the stream's largest real or
-    imaginary part. With |e| <= SCALE_WINDOW the scan reads the caller's
-    samples as they are, copying nothing stream-sized, and the spectra
-    come out in the stream's units. Outside the window a square or a
-    covariance entry could underflow or overflow, so the scan runs on the
-    stream scaled by 2^-e, which puts the peak in [0.5, 1), and each
-    spectrum is scaled back by 2^(2e). Scaling by a power of two is exact
-    while every intermediate value stays normal, and inside the window it
-    does, so a scan in place reports the same bits as a rescaled one: the
-    shortlist, the decision and the floor ratios do not depend on the
-    stream's scale over the whole float range. An all-zero stream has
-    s = 0 at every lag and reports the smallest candidate.
+    A stream that is not 1-D, too short for the largest candidate of the
+    range or holding a NaN or infinite sample raises DataError. Let
+    2^(e-1) <= peak < 2^e bound its largest real or imaginary part. With
+    |e| <= SCALE_WINDOW, x is the caller's samples, with no stream-sized
+    copy, and e is returned as 0. Outside the window a square or covariance
+    entry could underflow or overflow, so x is the stream scaled by 2^-e,
+    its peak in [0.5, 1). Either way no statistic of x depends on the
+    stream's scale over the whole float range.
     """
     x = np.ascontiguousarray(r, dtype=complex)
     if x.ndim != 1:
@@ -342,22 +324,39 @@ def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
     if not np.isfinite(peak):
         raise DataError("the stream holds NaN or infinite samples")
     e = math.frexp(peak)[1]
-    if abs(e) > SCALE_WINDOW:
-        x = np.ldexp(v, -e).view(complex)
-    else:
-        e = 0
+    if abs(e) <= SCALE_WINDOW:
+        return x, 0
+    return np.ldexp(v, -e).view(complex), e
+
+
+def shortlist(x: np.ndarray, cfg: EstimatorConfig) -> tuple:
+    """Step (b): the lag scores {k: s(k)} of every lag of the range, and
+    the candidates k + P, ascending, of the SHORTLIST lags of largest s,
+    ties going to the smaller lag."""
     lags = range(cfg.n_min, cfg.n_max + 1)
     s = lag_statistic(x, lags)
-    # a stable sort keeps ties in lag order, so the smaller lag wins
     top = np.argsort(-s, kind="stable")[:SHORTLIST]
-    cands = [lags[i] + cfg.cp_len for i in sorted(top)]
-    scanned = {n: hermitian_eigenvalues(covariance(segment(x, n))) for n in cands}
-    ratios = {n: floor_ratio(scanned[n], len(x) // n, cfg.missing) for n in cands}
-    spectra = {n: np.ldexp(scanned[n], 2 * e) for n in cands}
-    # the first minimum in scan order, so ties go to the smallest N'
+    return dict(zip(lags, s.tolist())), [lags[i] + cfg.cp_len for i in sorted(top)]
+
+
+def score_candidates(x: np.ndarray, candidates, missing: int) -> tuple:
+    """Step (c): the floor ratios {N': ratio} and descending spectra
+    {N': lambda} of the candidates, in their order. Each is segmented and
+    eigendecomposed once, M' = len(x) // N', and `missing` is d."""
+    spectra = {n: hermitian_eigenvalues(covariance(segment(x, n))) for n in candidates}
+    ratios = {n: floor_ratio(lam, len(x) // n, missing) for n, lam in spectra.items()}
+    return ratios, spectra
+
+
+def estimate_n(r, cfg: EstimatorConfig) -> EstimateReport:
+    """Steps (a), (b) and (c) on the stream r; of equal floor ratios the
+    smallest N' wins, and the spectra are scaled back to r's units."""
+    x, e = scaled_stream(r, cfg)
+    lag_scores, candidates = shortlist(x, cfg)
+    ratios, spectra = score_candidates(x, candidates, cfg.missing)
     best = min(ratios, key=ratios.get)
-    return EstimateReport(n_hat=best - cfg.cp_len, lag_scores=dict(zip(lags, s.tolist())),
-                          floor_ratios=ratios, eigen_spectra=spectra)
+    return EstimateReport(n_hat=best - cfg.cp_len, lag_scores=lag_scores, floor_ratios=ratios,
+                          eigen_spectra={n: np.ldexp(lam, 2 * e) for n, lam in spectra.items()})
 
 
 def rank_oracle_noise_free(r, n_prime: int) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -54,6 +55,10 @@ class SweepSpec:
             raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not self.axis_values:
             raise ConfigError("axis_values must be non-empty")
+        # a float count or seed would fail only mid-sweep, in range() or SeedSequence
+        for name in ("trials", "master_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
@@ -69,7 +74,7 @@ class SweepSpec:
                 # candidate range is checked all the same, as at L = P
                 est = est or EstimatorConfig(cp_len=ofdm.cp_len, num_taps=ofdm.cp_len,
                                              n_min=self.n_min, n_max=self.n_max)
-            except ConfigError as err:
+            except (ConfigError, OverflowError) as err:  # an int past the float range
                 raise ConfigError(f"axis point {self.axis}={value}: {err}") from None
             if chan.num_taps > ofdm.block_len:
                 raise ConfigError(

@@ -262,6 +262,17 @@ class TestSweep:
         assert_one_error_naming(capsys.readouterr().err, "snr_db=-inf")
         assert not out.exists()
 
+    def test_axis_point_past_float_range_exits_one(self, tmp_path, capsys):
+        # a 401-digit whole number reads as an int that no float holds
+        spec = tmp_path / "sweeps.ini"
+        spec.write_text(SPEC_TEXT.replace("axis = snr_db\naxis_values = 0, 10",
+                                          f"axis = n_subcarriers\naxis_values = {10**400}"))
+        out = tmp_path / "x.csv"
+        rc = run(["sweep", "--spec", str(spec), "--section", "quick", "--out", str(out)])
+        assert rc == 1
+        assert_one_error_naming(capsys.readouterr().err, f"n_subcarriers={10**400}:")
+        assert not out.exists()
+
     def test_negative_master_seed_exits_one(self, tmp_path, capsys):
         # rejected when the spec is read, not mid-sweep in a pool thread
         spec = tmp_path / "sweeps.ini"

@@ -112,6 +112,24 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match=rf"axis point {axis}={value}: .*whole number"):
             replace(load_preset("fig3"), axis=axis, axis_values=(value,), trials=2)
 
+    @pytest.mark.parametrize("axis", ["n_subcarriers", "snr_db"])
+    def test_axis_point_past_float_range_rejected(self, axis):
+        # it overflowed float() uncaught; the CSV writes every point as a float
+        with pytest.raises(ConfigError, match=rf"axis point {axis}=1000+: .*too large"):
+            replace(load_preset("fig4"), axis=axis, axis_values=(10**400,))
+
+    @pytest.mark.parametrize("field,value", [
+        ("trials", 2.5), ("trials", 2.0), ("master_seed", 1.5), ("master_seed", "7"),
+    ])
+    def test_non_integer_count_or_seed_rejected(self, field, value):
+        # it built, then died mid-sweep in range() or SeedSequence
+        with pytest.raises(ConfigError, match=rf"{field} must be an integer, got {value!r}"):
+            replace(load_preset("fig2"), **{field: value})
+
+    @pytest.mark.parametrize("field", ["trials", "master_seed"])
+    def test_numpy_integer_count_and_seed_accepted(self, field):
+        assert getattr(replace(load_preset("fig2"), **{field: np.int64(3)}), field) == 3
+
     def test_whole_float_on_integer_axis_accepted(self):
         spec = replace(load_preset("fig3"), axis_values=(2.0,), trials=2)
         assert point_configs(spec, 2.0)[1].num_taps == 2
