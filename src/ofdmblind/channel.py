@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_count
 from .transmitter import IqSequence
 
 
@@ -35,8 +35,7 @@ class ChannelConfig:
     snr_db: float
 
     def __post_init__(self):
-        if self.num_taps < 1:
-            raise ConfigError(f"num_taps must be >= 1, got {self.num_taps}")
+        check_count("num_taps", self.num_taps, 1)
         try:
             noise_var = calibrate_noise(self.snr_db)
         except OverflowError:
@@ -76,8 +75,7 @@ def calibrate_noise(snr_db: float) -> float:
 
 def draw_realization(cfg: ChannelConfig, num_blocks: int, seed) -> ChannelRealization:
     """Draw K independent L-tap circular complex Gaussian impulse responses."""
-    if num_blocks < 1:
-        raise ConfigError(f"num_blocks must be >= 1, got {num_blocks}")
+    check_count("num_blocks", num_blocks, 1)
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(1.0 / cfg.num_taps / 2.0)
     shape = (num_blocks, cfg.num_taps)

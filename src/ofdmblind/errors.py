@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `check_count`, the one
+rule every config applies to its counts (N, P, L, M, K, trials, seed)."""
+import numbers
 
 
 class OfdmBlindError(Exception):
@@ -13,3 +15,11 @@ class ConfigError(OfdmBlindError):
 
 class DataError(OfdmBlindError):
     """Input data cannot support the requested operation."""
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Refuse `value` unless it is an integer (numpy's too) of at least `low`."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_count
 
 # Eigenvalues are floored at this fraction of the largest one before any
 # logarithm or quotient. A purely absolute floor would let the
@@ -125,17 +125,16 @@ class EstimatorConfig:
     n_max: int
 
     def __post_init__(self):
-        if self.cp_len < 1:
-            raise ConfigError(f"cp_len must be >= 1, got {self.cp_len}")
-        if self.num_taps < 1:
-            raise ConfigError(f"num_taps must be >= 1, got {self.num_taps}")
+        check_count("cp_len", self.cp_len, 1)
+        check_count("num_taps", self.num_taps, 1)
         if self.num_taps > self.cp_len:
             raise ConfigError(f"num_taps must be <= cp_len, got num_taps={self.num_taps} "
                               f"cp_len={self.cp_len}")
-        if self.n_min < 2:
-            raise ConfigError(f"n_min must be >= 2, got {self.n_min}")
+        check_count("n_min", self.n_min, 2)
         if self.n_max < self.n_min:
             raise ConfigError(f"n_max {self.n_max} below n_min {self.n_min}")
+        # the bound holds by now; only the integer test can fire here
+        check_count("n_max", self.n_max, self.n_min)
 
     @property
     def candidates(self) -> range:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -24,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .channel import ChannelConfig, apply_block_channel, draw_realization
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_count
 from .estimator import EstimatorConfig, estimate_n
 from .transmitter import IqSequence, OfdmConfig, generate_stream
 
@@ -56,31 +55,21 @@ class SweepSpec:
         if not self.axis_values:
             raise ConfigError("axis_values must be non-empty")
         # a float count or seed would fail only mid-sweep, in range() or SeedSequence
-        for name in ("trials", "master_seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        check_count("trials", self.trials, 1)
+        check_count("master_seed", self.master_seed, 0)
         # the label names the provenance sidecar's section, which must read back
         label = self.label
         if label in ("", "DEFAULT") or not label.isascii() or "\n" in label or "\r" in label:
             raise ConfigError(f"label must be one line of ASCII, not DEFAULT, got {label!r}")
         for value in self.axis_values:
             try:
-                ofdm, chan, est = point_configs(self, value)
+                ofdm, _, est = point_configs(self, value)
                 # a point past the cyclic prefix has no estimator, but its
                 # candidate range is checked all the same, as at L = P
                 est = est or EstimatorConfig(cp_len=ofdm.cp_len, num_taps=ofdm.cp_len,
                                              n_min=self.n_min, n_max=self.n_max)
             except (ConfigError, OverflowError) as err:  # an int past the float range
                 raise ConfigError(f"axis point {self.axis}={value}: {err}") from None
-            if chan.num_taps > ofdm.block_len:
-                raise ConfigError(
-                    f"axis point {self.axis}={value}: channel ({chan.num_taps} taps) "
-                    f"longer than one block ({ofdm.block_len} samples)"
-                )
             if short := est.too_short(ofdm.stream_len):
                 raise ConfigError(f"axis point {self.axis}={value}: {short}")
 
@@ -164,8 +153,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """
     from . import __version__
 
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    check_count("workers", workers, 1)
 
     trials = spec.trials
     bundles = [point_configs(spec, value) for value in spec.axis_values]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_count
 
 SUPPORTED_MOD_ORDERS = (4, 16, 64, 256)
 
@@ -33,21 +33,19 @@ class OfdmConfig:
 
     def __post_init__(self):
         n, p = self.n_subcarriers, self.cp_len
-        if n < 2:
-            raise ConfigError(f"n_subcarriers must be >= 2, got {n}")
-        if p < 1:
-            raise ConfigError(f"cp_len must be >= 1, got {p}")
+        check_count("n_subcarriers", n, 2)
+        check_count("cp_len", p, 1)
         if p > n:
             # The CP copies rows of an N-row matrix; more rows do not exist.
             raise ConfigError(f"cp_len {p} exceeds n_subcarriers {n}")
-        if self.symbols_per_block < 1:
-            raise ConfigError(f"symbols_per_block must be >= 1, got {self.symbols_per_block}")
-        if self.num_blocks < 1:
-            raise ConfigError(f"num_blocks must be >= 1, got {self.num_blocks}")
+        check_count("symbols_per_block", self.symbols_per_block, 1)
+        check_count("num_blocks", self.num_blocks, 1)
         if self.mod_order not in SUPPORTED_MOD_ORDERS:
             raise ConfigError(
                 f"mod_order must be one of {SUPPORTED_MOD_ORDERS}, got {self.mod_order}"
             )
+        # 16.0 is in the table too; only the integer test can fire here
+        check_count("mod_order", self.mod_order, SUPPORTED_MOD_ORDERS[0])
 
     @property
     def symbol_len(self) -> int:

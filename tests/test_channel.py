@@ -67,6 +67,7 @@ class TestChannelConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(num_taps=0, snr_db=0.0),
+        dict(num_taps=6.5, snr_db=0.0),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -132,6 +133,9 @@ class TestDrawRealization:
         cfg = ChannelConfig(num_taps=2, snr_db=0.0)
         with pytest.raises(ConfigError):
             draw_realization(cfg, 0, seed=0)
+        # a float count fails here, not inside rng.normal
+        with pytest.raises(ConfigError, match=r"num_blocks must be an integer, got 2\.0"):
+            draw_realization(cfg, 2.0, seed=0)
 
     def test_negative_noise_var_rejected(self):
         # and a NaN one, which would pass as noise-free, and an infinite one

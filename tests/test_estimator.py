@@ -121,6 +121,8 @@ class TestEstimatorConfig:
         dict(cp_len=3, num_taps=2, n_min=8, n_max=4),
         # a channel longer than the cyclic prefix leaves no rank missing
         dict(cp_len=7, num_taps=9, n_min=16, n_max=48),
+        dict(cp_len=7, num_taps=4, n_min=16.5, n_max=48),
+        dict(cp_len=7, num_taps=4, n_min=16, n_max=48.0),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):

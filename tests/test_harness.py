@@ -91,6 +91,10 @@ class TestSweepSpec:
         # cp_len = 0 is invalid per point, and the message says which point
         with pytest.raises(ConfigError, match="cp_len=0"):
             small_spec(axis="cp_len", axis_values=(3, 0))
+        # a float count fails when built, at the first point, not mid-sweep
+        with pytest.raises(ConfigError, match=r"^axis point snr_db=-5\.0: num_taps must be an "
+                                              r"integer, got 6\.5$"):
+            replace(load_preset("fig2"), num_taps=6.5)
 
     def test_stream_too_short_for_largest_candidate_rejected(self):
         # N=4 gives 7*20*2 = 280 samples; N'=15 needs 225, N'=18 needs 324
@@ -133,13 +137,6 @@ class TestSweepSpec:
     def test_whole_float_on_integer_axis_accepted(self):
         spec = replace(load_preset("fig3"), axis_values=(2.0,), trials=2)
         assert point_configs(spec, 2.0)[1].num_taps == 2
-
-    def test_channel_longer_than_block_rejected(self):
-        # T = 3 samples per block against 4 taps, while the stream's 300
-        # samples fill the only candidate N'=3, which needs 9
-        ofdm = OfdmConfig(n_subcarriers=2, cp_len=1, symbols_per_block=1, num_blocks=100)
-        with pytest.raises(ConfigError, match=r"snr_db=0.0: channel \(4 taps\) longer than one"):
-            small_spec(ofdm=ofdm, num_taps=4, n_min=2, n_max=2)
 
 
 class TestPointConfigs:
@@ -226,6 +223,11 @@ class TestRunTrial:
         )
         assert point_configs(spec, 8)[2] is None
         assert [pt.pd for pt in run_sweep(spec, workers=2).points] == [0.0, 0.0]
+        # and where the channel outlasts a whole block: T = 3 samples
+        # against 4 taps, a spec that builds and runs
+        ofdm = OfdmConfig(n_subcarriers=2, cp_len=1, symbols_per_block=1, num_blocks=100)
+        spec = small_spec(ofdm=ofdm, num_taps=4, n_min=2, n_max=2)
+        assert [pt.pd for pt in run_sweep(spec).points] == [0.0, 0.0]
 
 
 class TestWilsonHalfwidth:
@@ -270,6 +272,17 @@ class TestRunSweep:
     def test_zero_workers_rejected(self):
         with pytest.raises(ConfigError, match="workers"):
             run_sweep(small_spec(trials=1), workers=0)
+        with pytest.raises(ConfigError, match=r"workers must be an integer, got 1\.5"):
+            run_sweep(small_spec(trials=1), workers=1.5)
+
+    def test_numpy_integer_counts_run_as_ints(self):
+        # every config takes numpy integers, and the sweep runs as with ints
+        i64 = np.int64
+        ofdm = OfdmConfig(n_subcarriers=i64(8), cp_len=i64(3), symbols_per_block=i64(20),
+                          num_blocks=i64(2), mod_order=i64(4))
+        spec = small_spec(ofdm=ofdm, num_taps=i64(2), n_min=i64(4), n_max=i64(12),
+                          trials=i64(4), master_seed=i64(99))
+        assert run_sweep(spec, workers=i64(2)).points == run_sweep(small_spec()).points
 
 
 class TestEmitCsv:

@@ -39,6 +39,12 @@ class TestOfdmConfig:
         ("num_blocks", 0),
         ("mod_order", 8),
         ("mod_order", 32),
+        # a float count fails when built, not inside generate_stream
+        ("n_subcarriers", 32.0),
+        ("cp_len", 7.0),
+        ("symbols_per_block", 100.5),
+        ("num_blocks", 2.0),
+        ("mod_order", 16.0),
     ])
     def test_invalid_values_rejected(self, field, value):
         base = dict(n_subcarriers=8, cp_len=3, symbols_per_block=4, num_blocks=2,
