@@ -63,15 +63,9 @@ class SweepSpec:
             raise ConfigError(f"label must be one line of ASCII, not DEFAULT, got {label!r}")
         for value in self.axis_values:
             try:
-                ofdm, _, est = point_configs(self, value)
-                # a point past the cyclic prefix has no estimator, but its
-                # candidate range is checked all the same, as at L = P
-                est = est or EstimatorConfig(cp_len=ofdm.cp_len, num_taps=ofdm.cp_len,
-                                             n_min=self.n_min, n_max=self.n_max)
+                point_configs(self, value)
             except (ConfigError, OverflowError) as err:  # an int past the float range
                 raise ConfigError(f"axis point {self.axis}={value}: {err}") from None
-            if short := est.too_short(ofdm.stream_len):
-                raise ConfigError(f"axis point {self.axis}={value}: {short}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +84,9 @@ class SweepResult:
 
 
 def point_configs(spec: SweepSpec, axis_value):
-    """Derive the per-point config bundle with the axis value applied."""
+    """Derive the per-point config bundle with the axis value applied; the one
+    judge of whether a point can run, it refuses configs that do not build,
+    an N outside [n_min, n_max] and a stream too short for the largest N'."""
     ofdm = spec.ofdm
     num_taps, snr_db = spec.num_taps, spec.snr_db
     if spec.axis == "snr_db":
@@ -103,13 +99,17 @@ def point_configs(spec: SweepSpec, axis_value):
         # the other three axes are named after their OfdmConfig field
         ofdm = replace(ofdm, **{spec.axis: int(axis_value)})
     chan = ChannelConfig(num_taps=num_taps, snr_db=snr_db)
-    if num_taps > ofdm.cp_len:
-        # past the cyclic prefix no rank goes missing: no estimator, every trial a miss
-        return ofdm, chan, None
-    est = EstimatorConfig(
-        cp_len=ofdm.cp_len, num_taps=num_taps, n_min=spec.n_min, n_max=spec.n_max
-    )
-    return ofdm, chan, est
+    # past the cyclic prefix the range and length are checked as at L = P
+    est = EstimatorConfig(cp_len=ofdm.cp_len, num_taps=min(num_taps, ofdm.cp_len),
+                          n_min=spec.n_min, n_max=spec.n_max)
+    if not spec.n_min <= ofdm.n_subcarriers <= spec.n_max:
+        # n_hat never leaves [n_min, n_max], so every trial would miss
+        raise ConfigError(f"n_subcarriers {ofdm.n_subcarriers} outside [n_min, n_max] = "
+                          f"[{spec.n_min}, {spec.n_max}]")
+    if short := est.too_short(ofdm.stream_len):
+        raise ConfigError(short)
+    # past the cyclic prefix no rank goes missing: no estimator, every trial a miss
+    return ofdm, chan, est if num_taps <= ofdm.cp_len else None
 
 
 def simulate(ofdm_cfg: OfdmConfig, chan_cfg: ChannelConfig, seed) -> IqSequence:
@@ -220,15 +220,26 @@ def write_section(path, name: str, fields: dict) -> None:
         parser.write(fh)
 
 
+def _number(text: str):
+    """The int that text spells, else its float: the configs' own rules judge it."""
+    try:
+        return int(text)
+    except ValueError as err:
+        try:
+            return float(text)
+        except ValueError:
+            raise err from None  # text that is no number keeps int()'s message
+
+
 def _spec_from_section(name: str, section) -> SweepSpec:
     try:
         axis = section["axis"]
         raw_values = [v for v in section["axis_values"].split(",") if v.strip()]
         values = tuple(
-            float(v) if axis == "snr_db" else int(v) for v in raw_values
+            float(v) if axis == "snr_db" else _number(v) for v in raw_values
         )
-        ofdm = {field: int(section[key]) for key, field in OFDM_KEYS.items()}
-        sweep = {field: int(section[key]) for key, field in SWEEP_KEYS.items()}
+        ofdm = {field: _number(section[key]) for key, field in OFDM_KEYS.items()}
+        sweep = {field: _number(section[key]) for key, field in SWEEP_KEYS.items()}
         snr_db = float(section["snr_db"])
     except KeyError as err:
         raise ConfigError(f"sweep spec [{name}] is missing key {err}") from None

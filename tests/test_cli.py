@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 import configparser
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -271,6 +272,41 @@ class TestSweep:
         rc = run(["sweep", "--spec", str(spec), "--section", "quick", "--out", str(out)])
         assert rc == 1
         assert_one_error_naming(capsys.readouterr().err, f"n_subcarriers={10**400}:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old,new,err", [
+        ("taps = 2", "taps = 2.5", "axis point snr_db=0.0: num_taps must be an integer, got 2.5"),
+        ("trials = 2", "trials = 2.5", "trials must be an integer, got 2.5"),
+        ("n = 8", "n = 8.0", "n_subcarriers must be an integer, got 8.0"),
+        ("axis = snr_db\naxis_values = 0, 10", "axis = num_taps\naxis_values = 2.5",
+         "axis point num_taps=2.5: num_taps must be a whole number"),
+    ], ids=["taps", "trials", "n", "taps-axis"])
+    def test_spec_file_number_refused_by_its_rule(self, tmp_path, capsys, old, new, err):
+        # a number that is not a whole count gets the configs' own text, not int()'s
+        spec = tmp_path / "sweeps.ini"
+        spec.write_text(SPEC_TEXT.replace(old, new, 1))
+        out = tmp_path / "x.csv"
+        rc = run(["sweep", "--spec", str(spec), "--section", "quick", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
+    def test_subcarrier_count_outside_range_exits_one(self, tmp_path, capsys):
+        # n_hat never leaves [n_min, n_max], so N = 10^12 can only miss; the
+        # point used to build and then fail mid-sweep allocating its stream
+        presets = configparser.ConfigParser()
+        presets.read_string(resources.files("ofdmblind").joinpath("presets.ini").read_text())
+        presets["fig4"]["axis_values"] = str(10**12)
+        spec = tmp_path / "sweeps.ini"
+        with open(spec, "w") as fh:
+            presets.write(fh)
+        out = tmp_path / "x.csv"
+        rc = run(["sweep", "--spec", str(spec), "--section", "fig4", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: axis point n_subcarriers={10**12}: "
+            f"n_subcarriers {10**12} outside [n_min, n_max] = [8, 96]\n"
+        )
         assert not out.exists()
 
     def test_negative_master_seed_exits_one(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 import configparser
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from ofdmblind.errors import ConfigError, DataError
 from ofdmblind.harness import (
     PRESET_NAMES,
+    SweepResult,
     SweepSpec,
     emit_csv,
     load_preset,
@@ -106,6 +108,16 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match=r"holds 280: 18 segments of 18 samples, one per"):
             small_spec(axis="n_subcarriers", axis_values=(8, 4), n_max=15)
 
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(axis="n_subcarriers", axis_values=(8, 16)), "n_subcarriers=16: n_subcarriers 16"),
+        (dict(axis="n_subcarriers", axis_values=(3,)), "n_subcarriers=3: n_subcarriers 3"),
+        (dict(n_min=10), "snr_db=0.0: n_subcarriers 8"),
+    ], ids=["above", "below", "base"])
+    def test_subcarrier_count_outside_range_rejected(self, overrides, message):
+        # n_hat lies in [n_min, n_max], so such a point would miss in every trial
+        with pytest.raises(ConfigError, match=rf"^axis point {message} outside \[n_min, n_max\]"):
+            small_spec(**overrides)
+
     @pytest.mark.parametrize("axis,value", [
         ("num_taps", 2.5), ("n_subcarriers", 16.7), ("cp_len", 3.5), ("mod_order", 16.5),
         ("num_taps", float("nan")), ("num_taps", float("inf")),
@@ -154,7 +166,7 @@ class TestPointConfigs:
         assert est.num_taps == 3
 
     def test_subcarrier_axis_resizes_blocks(self):
-        spec = small_spec(axis="n_subcarriers", axis_values=(8, 16))
+        spec = small_spec(axis="n_subcarriers", axis_values=(8, 16), n_max=16)
         ofdm, _, _ = point_configs(spec, 16)
         assert ofdm.n_subcarriers == 16
         assert ofdm.block_len == 20 * 19
@@ -376,6 +388,24 @@ class TestSpecFiles:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(DataError):
             load_spec_file(tmp_path / "nope.ini")
+
+    def test_whole_float_axis_values_read_as_counts(self, tmp_path):
+        # as replace(load_preset("fig3"), axis_values=(2.0,)) builds, so does its spec file
+        text = SPEC_TEXT.replace("axis = snr_db\naxis_values = 0, 10",
+                                 "axis = num_taps\naxis_values = 2.0, 3")
+        spec = parse_sweep_specs(text)["quick"]
+        assert spec.axis_values == (2, 3)
+        emit_csv(SweepResult(points=(), spec=spec, version="0"), tmp_path / "x.csv")
+        sidecar = configparser.ConfigParser()
+        sidecar.read(tmp_path / "x.csv.provenance.txt", encoding="ascii")
+        assert sidecar["quick"]["axis_values"] == "2, 3"
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_committed_results_rerun_their_preset(self, name):
+        # each committed paper-scale CSV's sidecar is the packaged preset it came from
+        results = Path(__file__).resolve().parent.parent / "results"
+        sidecar = results / f"{name}.paper.csv.provenance.txt"
+        assert load_spec_file(sidecar) == {f"{name}.paper": load_preset(name, "paper")}
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("scale", ["desk", "paper"])

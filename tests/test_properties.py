@@ -7,8 +7,11 @@ i+N of the correct segmentation by e^{j eps N} against row i, so the
 deficiency stays exact. The floor ratio reads the deficiency off the
 spectrum: near 0 at N' = N+P, well away from 0 at N+P-1 and N+P+1. The
 fixed grids of C01-C03 stay the reference; these explore the layouts
-between them.
+between them. A sweep's provenance sidecar reads back into its spec.
 """
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,12 @@ from ofdmblind.channel import ChannelConfig, apply_block_channel, draw_realizati
 from ofdmblind.estimator import (  # noqa: E402
     EstimatorConfig, estimate_n, rank_oracle_noise_free, score_candidates,
 )
-from ofdmblind.transmitter import OfdmConfig, generate_stream  # noqa: E402
+from ofdmblind.harness import (  # noqa: E402
+    AXES, SweepResult, SweepSpec, emit_csv, load_spec_file,
+)
+from ofdmblind.transmitter import (  # noqa: E402
+    SUPPORTED_MOD_ORDERS, OfdmConfig, generate_stream,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None)
 
@@ -89,3 +97,45 @@ def test_decision_scale_invariant(seed, k):
     cfg = EstimatorConfig(cp_len=3, num_taps=2, n_min=4, n_max=12)
     with np.errstate(over="ignore"):  # spectra of the largest scales overflow
         assert estimate_n(10.0 ** k * x, cfg).n_hat == estimate_n(x, cfg).n_hat
+
+
+def counts(values):
+    """Counts drawn from `values`, some of them as whole floats, as an axis may hold them."""
+    return values.flatmap(lambda n: st.sampled_from((n, float(n))))
+
+
+SNRS = st.floats(-300, 300) | st.just(float("inf"))
+LABELS = st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1)
+
+
+@st.composite
+def sweep_specs(draw):
+    """Valid specs on every axis: P <= 4 <= n_min <= N <= n_max <= 16, and at
+    least 80 symbols of N+P >= 5 samples, so every point holds (n_max + P)^2."""
+    n_min = draw(st.integers(4, 16))
+    n_max = draw(st.integers(n_min, 16))
+    axis = draw(st.sampled_from(AXES))
+    values = {"snr_db": SNRS,
+              "num_taps": counts(st.integers(1, 10)),
+              "n_subcarriers": counts(st.integers(n_min, n_max)),
+              "mod_order": counts(st.sampled_from(SUPPORTED_MOD_ORDERS)),
+              "cp_len": counts(st.integers(1, 4))}[axis]
+    blocks = draw(st.integers(1, 3))
+    ofdm = OfdmConfig(n_subcarriers=draw(st.integers(n_min, n_max)),
+                      cp_len=draw(st.integers(1, 4)),
+                      symbols_per_block=draw(st.integers(-(-80 // blocks), 200)),
+                      num_blocks=blocks, mod_order=draw(st.sampled_from(SUPPORTED_MOD_ORDERS)))
+    return SweepSpec(axis=axis, axis_values=tuple(draw(st.lists(values, min_size=1, max_size=4))),
+                     ofdm=ofdm, num_taps=draw(st.integers(1, 10)), snr_db=draw(SNRS),
+                     n_min=n_min, n_max=n_max, trials=draw(st.integers(1, 10**6)),
+                     master_seed=draw(st.integers(0, 2**64)),
+                     label=draw(LABELS.filter(lambda s: s != "DEFAULT")))
+
+
+@SETTINGS
+@given(spec=sweep_specs())
+def test_sidecar_reads_back_as_its_spec(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep.csv"
+        emit_csv(SweepResult(points=(), spec=spec, version="0"), out)
+        assert load_spec_file(f"{out}.provenance.txt") == {spec.label: spec}
