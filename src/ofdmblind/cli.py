@@ -4,7 +4,8 @@ Subcommands: `generate` synthesizes a stream through the channel and
 writes an IQ file, `estimate` recovers the subcarrier count from one,
 `sweep` runs a Monte Carlo detection-probability sweep to CSV, and
 `rank-check` demonstrates the noise-free rank signature. Exit codes:
-0 success, 1 usage or configuration error, 2 data or estimation error.
+0 success, 1 usage or configuration error, 2 data, estimation or memory
+error.
 """
 from __future__ import annotations
 
@@ -122,20 +123,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.spec:
-        specs = load_spec_file(args.spec)
-        if args.section:
-            if args.section not in specs:
-                raise ConfigError(f"no section [{args.section}] in {args.spec}")
-            spec = specs[args.section]
-        elif len(specs) == 1:
-            spec = next(iter(specs.values()))
-        else:
-            raise ConfigError(
-                f"{args.spec} holds {sorted(specs)}; pick one with --section"
-            )
-    else:
-        spec = load_preset(args.preset, scale=args.scale)
+    if args.section is not None and not args.spec:
+        raise ConfigError("--section applies only to --spec, not to --preset")
+    spec = (load_spec_file(args.spec, args.section) if args.spec
+            else load_preset(args.preset, scale=args.scale))
     if args.trials is not None:
         spec = replace(spec, trials=args.trials)
     result = run_sweep(spec, workers=args.threads)
@@ -183,7 +174,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (DataError, OSError) as err:
+    except (DataError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -231,42 +231,42 @@ def _number(text: str):
             raise err from None  # text that is no number keeps int()'s message
 
 
-def _spec_from_section(name: str, section) -> SweepSpec:
+def load_spec_file(path, section=None) -> SweepSpec:
+    """Build the spec of one section of a key=value spec file: `section`, or
+    the file's only one when None. No other section is built or judged."""
     try:
-        axis = section["axis"]
-        raw_values = [v for v in section["axis_values"].split(",") if v.strip()]
-        values = tuple(
-            float(v) if axis == "snr_db" else _number(v) for v in raw_values
-        )
-        ofdm = {field: _number(section[key]) for key, field in OFDM_KEYS.items()}
-        sweep = {field: _number(section[key]) for key, field in SWEEP_KEYS.items()}
-        snr_db = float(section["snr_db"])
-    except KeyError as err:
-        raise ConfigError(f"sweep spec [{name}] is missing key {err}") from None
-    except ValueError as err:
-        raise ConfigError(f"sweep spec [{name}]: {err}") from None
-    return SweepSpec(axis=axis, axis_values=values, ofdm=OfdmConfig(**ofdm),
-                     snr_db=snr_db, label=name, **sweep)
-
-
-def parse_sweep_specs(text: str) -> dict:
-    """Parse key=value sweep sections from a config string."""
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_string(text)
-        return {name: _spec_from_section(name, parser[name]) for name in parser.sections()}
-    except configparser.Error as err:
-        raise ConfigError(f"malformed sweep spec: {err}") from None
-
-
-def load_spec_file(path) -> dict:
-    try:
-        with open(path, encoding="ascii") as fh:
-            return parse_sweep_specs(fh.read())
+        with open(path, "rb") as fh:
+            # decoded and newline-translated as text mode would, without
+            # importing the ascii codec's module into a preset's set-up
+            text = fh.read().decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as err:
         raise DataError(f"cannot read sweep spec {path}: {err}") from None
     except UnicodeDecodeError as err:
         raise ConfigError(f"sweep spec {path} is not ASCII: {err}") from None
+    parser = configparser.ConfigParser()
+    try:
+        parser.read_string(text)
+        names = parser.sections()
+        if section is None and len(names) != 1:
+            raise ConfigError(f"{path} holds {sorted(names)}; pick one with --section")
+        section = names[0] if section is None else section
+        if section not in names:
+            raise ConfigError(f"no section [{section}] in {path}")
+        keys = parser[section]
+        axis = keys["axis"]
+        values = tuple(float(v) if axis == "snr_db" else _number(v)
+                       for v in keys["axis_values"].split(",") if v.strip())
+        ofdm = {field: _number(keys[key]) for key, field in OFDM_KEYS.items()}
+        sweep = {field: _number(keys[key]) for key, field in SWEEP_KEYS.items()}
+        snr_db = float(keys["snr_db"])
+    except configparser.Error as err:
+        raise ConfigError(f"malformed sweep spec: {err}") from None
+    except KeyError as err:
+        raise ConfigError(f"sweep spec [{section}] is missing key {err}") from None
+    except ValueError as err:
+        raise ConfigError(f"sweep spec [{section}]: {err}") from None
+    return SweepSpec(axis=axis, axis_values=values, ofdm=OfdmConfig(**ofdm),
+                     snr_db=snr_db, label=section, **sweep)
 
 
 def load_preset(name: str, scale: str = "desk") -> SweepSpec:
@@ -275,7 +275,5 @@ def load_preset(name: str, scale: str = "desk") -> SweepSpec:
         raise ConfigError(f"unknown preset {name!r}, choose from {PRESET_NAMES}")
     if scale not in ("desk", "paper"):
         raise ConfigError(f"scale must be 'desk' or 'paper', got {scale!r}")
-    text = resources.files(__package__).joinpath("presets.ini").read_text()
-    specs = parse_sweep_specs(text)
-    section = name if scale == "desk" else f"{name}.paper"
-    return specs[section]
+    with resources.as_file(resources.files(__package__) / "presets.ini") as path:
+        return load_spec_file(path, name if scale == "desk" else f"{name}.paper")

@@ -219,20 +219,30 @@ class TestSweep:
         assert rc == 1
         assert "--section" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        b"axis = snr_db\n",
-        b"[quick]\naxis = snr_db\n[quick]\naxis = snr_db\n",
-        SPEC_TEXT.encode("ascii").replace(b"snr_db = 10", b"snr_db = 10\xb5"),
-        SPEC_TEXT.encode("ascii").replace(b"snr_db = 10", b"snr_db = 10%"),
+    @pytest.mark.parametrize("text, reason", [
+        (b"axis = snr_db\n", "malformed sweep spec"),
+        (b"[quick]\naxis = snr_db\n[quick]\naxis = snr_db\n", "malformed sweep spec"),
+        (SPEC_TEXT.encode("ascii").replace(b"snr_db = 10", b"snr_db = 10\xb5"), "is not ASCII"),
+        (SPEC_TEXT.encode("ascii").replace(b"snr_db = 10", b"snr_db = 10%"),
+         "malformed sweep spec"),
     ], ids=["no-section-header", "duplicate-section", "non-ascii-byte", "stray-percent"])
-    def test_malformed_spec_exits_one(self, tmp_path, capsys, text):
+    def test_malformed_spec_exits_one(self, tmp_path, capsys, text, reason):
         spec = tmp_path / "sweeps.ini"
         spec.write_bytes(text)
         out = tmp_path / "x.csv"
-        rc = run(["sweep", "--spec", str(spec), "--out", str(out)])
+        rc = run(["sweep", "--spec", str(spec), "--section", "quick", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and reason in err
+        assert not out.exists()
+
+    def test_section_without_spec_exits_one(self, tmp_path, capsys):
+        # a preset is named by --preset and --scale; --section would be ignored
+        out = tmp_path / "x.csv"
+        rc = run(["sweep", "--preset", "fig2", "--section", "fig3", "--trials", "1",
+                  "--out", str(out)])
+        assert rc == 1
+        assert_one_error_naming(capsys.readouterr().err, "--section")
         assert not out.exists()
 
     def test_zero_trials_exits_one(self, tmp_path, capsys):
@@ -293,7 +303,9 @@ class TestSweep:
 
     def test_subcarrier_count_outside_range_exits_one(self, tmp_path, capsys):
         # n_hat never leaves [n_min, n_max], so N = 10^12 can only miss; the
-        # point used to build and then fail mid-sweep allocating its stream
+        # point used to build and then fail mid-sweep allocating its stream.
+        # Only the section asked for is judged: [fig2] of the same file runs
+        # as its preset does.
         presets = configparser.ConfigParser()
         presets.read_string(resources.files("ofdmblind").joinpath("presets.ini").read_text())
         presets["fig4"]["axis_values"] = str(10**12)
@@ -308,6 +320,11 @@ class TestSweep:
             f"n_subcarriers {10**12} outside [n_min, n_max] = [8, 96]\n"
         )
         assert not out.exists()
+        preset = tmp_path / "preset.csv"
+        assert run(["sweep", "--spec", str(spec), "--section", "fig2", "--trials", "2",
+                    "--out", str(out)]) == 0
+        assert run(["sweep", "--preset", "fig2", "--trials", "2", "--out", str(preset)]) == 0
+        assert out.read_bytes() == preset.read_bytes()
 
     def test_negative_master_seed_exits_one(self, tmp_path, capsys):
         # rejected when the spec is read, not mid-sweep in a pool thread
@@ -456,4 +473,21 @@ def test_every_boundary_gives_one_range_message(tmp_path, capsys):
     assert run(["sweep", "--spec", str(spec_file), "--out", str(out)]) == 1
     assert str(cfg.value) == rule
     assert capsys.readouterr().err == f"error: axis point snr_db=0.0: {rule}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--spec", "{spec}", "--section", "quick"],
+    ["generate", "--symbols", "1000000000000"],
+], ids=["sweep", "generate"])
+def test_stream_past_memory_gives_one_error_line(tmp_path, capsys, argv):
+    # 10^12 symbols ask for 320 TiB (sweep) and 1.11 PiB (generate), past
+    # any 47-bit address space, so the allocation fails before memory is
+    # touched. A config that builds can still not fit the machine: exit 2.
+    spec = tmp_path / "sweeps.ini"
+    spec.write_text(SPEC_TEXT.replace("symbols = 20", "symbols = 1000000000000"))
+    out = tmp_path / "out"
+    rc = run([arg.format(spec=spec) for arg in argv] + ["--out", str(out)])
+    assert rc == 2
+    assert_one_error_naming(capsys.readouterr().err, "Unable to allocate")
     assert not out.exists()

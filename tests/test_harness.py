@@ -15,7 +15,6 @@ from ofdmblind.harness import (
     emit_csv,
     load_preset,
     load_spec_file,
-    parse_sweep_specs,
     point_configs,
     run_sweep,
     run_trial,
@@ -57,6 +56,13 @@ n_max = 12
 trials = 2
 master_seed = 7
 """
+
+
+def spec_file(tmp_path, text):
+    """The spec that load_spec_file builds from `text` written to a file."""
+    path = tmp_path / "sweeps.ini"
+    path.write_text(text)
+    return load_spec_file(path)
 
 
 class TestSweepSpec:
@@ -324,8 +330,8 @@ class TestEmitCsv:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(run_sweep(spec), a)
         reloaded = load_spec_file(f"{a}.provenance.txt")
-        assert reloaded == {spec.label: spec}
-        emit_csv(run_sweep(reloaded[spec.label]), b)
+        assert reloaded == spec
+        emit_csv(run_sweep(reloaded), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -366,24 +372,24 @@ class TestEmitCsv:
 
 
 class TestSpecFiles:
-    def test_parse_round_trip(self):
-        specs = parse_sweep_specs(SPEC_TEXT)
-        assert set(specs) == {"quick"}
-        spec = specs["quick"]
-        assert spec.axis == "snr_db"
-        assert spec.axis_values == (0.0, 10.0)
-        assert spec.ofdm.n_subcarriers == 8
-        assert spec.label == "quick"
+    def test_parse_round_trip(self, tmp_path):
+        # a file read as text mode reads it: "\r\n" and "\r" end lines as "\n" does
+        for newline in ("\n", "\r\n", "\r"):
+            spec = spec_file(tmp_path, SPEC_TEXT.replace("\n", newline))
+            assert spec.axis == "snr_db"
+            assert spec.axis_values == (0.0, 10.0)
+            assert spec.ofdm.n_subcarriers == 8
+            assert spec.label == "quick"
 
-    def test_missing_key_names_section(self):
+    def test_missing_key_names_section(self, tmp_path):
         broken = SPEC_TEXT.replace("trials = 2\n", "")
         with pytest.raises(ConfigError, match="quick"):
-            parse_sweep_specs(broken)
+            spec_file(tmp_path, broken)
 
-    def test_bad_value_rejected(self):
+    def test_bad_value_rejected(self, tmp_path):
         broken = SPEC_TEXT.replace("n = 8", "n = eight")
         with pytest.raises(ConfigError):
-            parse_sweep_specs(broken)
+            spec_file(tmp_path, broken)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(DataError):
@@ -393,7 +399,7 @@ class TestSpecFiles:
         # as replace(load_preset("fig3"), axis_values=(2.0,)) builds, so does its spec file
         text = SPEC_TEXT.replace("axis = snr_db\naxis_values = 0, 10",
                                  "axis = num_taps\naxis_values = 2.0, 3")
-        spec = parse_sweep_specs(text)["quick"]
+        spec = spec_file(tmp_path, text)
         assert spec.axis_values == (2, 3)
         emit_csv(SweepResult(points=(), spec=spec, version="0"), tmp_path / "x.csv")
         sidecar = configparser.ConfigParser()
@@ -405,7 +411,7 @@ class TestSpecFiles:
         # each committed paper-scale CSV's sidecar is the packaged preset it came from
         results = Path(__file__).resolve().parent.parent / "results"
         sidecar = results / f"{name}.paper.csv.provenance.txt"
-        assert load_spec_file(sidecar) == {f"{name}.paper": load_preset(name, "paper")}
+        assert load_spec_file(sidecar) == load_preset(name, "paper")
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("scale", ["desk", "paper"])

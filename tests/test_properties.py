@@ -7,7 +7,8 @@ i+N of the correct segmentation by e^{j eps N} against row i, so the
 deficiency stays exact. The floor ratio reads the deficiency off the
 spectrum: near 0 at N' = N+P, well away from 0 at N+P-1 and N+P+1. The
 fixed grids of C01-C03 stay the reference; these explore the layouts
-between them. A sweep's provenance sidecar reads back into its spec.
+between them. A sweep's provenance sidecar reads back into its spec,
+whatever other sections the file holds.
 """
 import tempfile
 from pathlib import Path
@@ -138,4 +139,8 @@ def test_sidecar_reads_back_as_its_spec(spec):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "sweep.csv"
         emit_csv(SweepResult(points=(), spec=spec, version="0"), out)
-        assert load_spec_file(f"{out}.provenance.txt") == {spec.label: spec}
+        sidecar = f"{out}.provenance.txt"
+        # a second section that no spec could come from is neither built nor judged
+        with open(sidecar, "a", encoding="ascii") as fh:
+            fh.write(f"\n[{spec.label}!]\ntrials = 0\n")
+        assert load_spec_file(sidecar, spec.label) == spec
