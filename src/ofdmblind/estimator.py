@@ -38,19 +38,19 @@ floating-point range. For L > P no rank goes missing at any candidate,
 so EstimatorConfig refuses such a channel.
 
 estimate_n is three steps. (a) scaled_stream checks the stream and
-brings it to a scale where nothing underflows or overflows. (b)
-shortlist ranks the lags k = n_min..n_max by the cyclic-prefix lag
-correlation
+brings it to a scale where nothing underflows or overflows, in its own
+precision: a complex64 capture stays complex64. (b) shortlist ranks the
+lags k = n_min..n_max by the cyclic-prefix lag correlation
 
     s(k) = |sum_n x[n] conj(x[n+k])| / sum_n |x[n]|^2
 
-(van de Beek, Sandell and Boerjesson, IEEE TSP 1997) and keeps the
-candidates k + P of the best few. (c) score_candidates segments,
-eigendecomposes and scores only these. Each prefix sample repeats the
-sample N later, so s peaks at k = N; at any other lag the samples are
-independent and s is small. The lag statistic needs no P, no L and no
-alignment, costs one pass over the stream per lag, and has no peak at a
-multiple of N+P.
+(van de Beek, Sandell and Boerjesson, IEEE TSP 1997), summed in the
+stream's precision, and keeps the candidates k + P of the best few. (c)
+score_candidates segments, eigendecomposes and scores only these, in
+double precision. Each prefix sample repeats the sample N later, so s
+peaks at k = N; at any other lag the samples are independent and s is
+small. The lag statistic needs no P, no L and no alignment, costs one
+pass over the stream per lag, and has no peak at a multiple of N+P.
 
 The floor ratio is the only statistic the scan computes. The MDL curve
 of a spectrum,
@@ -96,19 +96,10 @@ RANK_REL_TOL = 1e-9
 # the full scan of the range found it.
 SHORTLIST = 3
 
-# Samples per chunk of the lag statistic's sums: 1 MiB of complex128,
-# which with its tail of up to n_max samples stays in cache while every
-# lag's dot product runs over it.
+# Samples per chunk of the lag statistic's sums: 512 KiB of a complex64
+# capture, 1 MiB of complex128, which with its tail of up to n_max
+# samples stays in cache while every lag's dot product runs over it.
 LAG_CHUNK = 1 << 16
-
-# The window of stream scales that scaled_stream leaves as they are.
-# Inside it, as they are or scaled by 2^-e, every product of two nonzero
-# parts of a complex64 capture (each at least 2^-149) lies in
-# [2^-556, 2^257], so every square, sum and covariance entry is normal and
-# finite, and the largest entry lies inside [2^-485, 2^485], where
-# LAPACK's eigensolver takes its input without scaling it. Scaling by a
-# power of two is then exact, and both scans round alike.
-SCALE_WINDOW = 128
 
 
 @dataclass(frozen=True)
@@ -284,8 +275,9 @@ def lag_statistic(x: np.ndarray, lags) -> np.ndarray:
     runs over chunks of LAG_CHUNK values of n, every lag's dot product
     on one chunk before the next, so the chunk and the samples up to
     the largest lag past it stay in cache across the lags. The dot
-    products run on views of x, so nothing is copied, and a stream of at
-    most LAG_CHUNK samples is summed in one dot product per lag. The
+    products run on views of x in its own precision, so nothing is
+    copied, and a stream of at most LAG_CHUNK samples is summed in one
+    dot product per lag; the chunks' sums add up in complex128. The
     values lie in [0, 1]; an all-zero stream gives 0 at every lag.
     """
     n = len(x)
@@ -303,29 +295,40 @@ def lag_statistic(x: np.ndarray, lags) -> np.ndarray:
 def scaled_stream(r, cfg: EstimatorConfig) -> tuple:
     """Step (a): the stream as a 1-D complex array x = r * 2^-e, and e.
 
-    A stream that is not 1-D, too short for the largest candidate of the
-    range or holding a NaN or infinite sample raises DataError. Let
-    2^(e-1) <= peak < 2^e bound its largest real or imaginary part. With
-    |e| <= SCALE_WINDOW, x is the caller's samples, with no stream-sized
-    copy, and e is returned as 0. Outside the window a square or covariance
-    entry could underflow or overflow, so x is the stream scaled by 2^-e,
-    its peak in [0.5, 1). Either way no statistic of x depends on the
-    stream's scale over the whole float range.
+    x is complex64 for a complex64 stream, such as read_iq_file returns,
+    and complex128 for any other. A stream that is not 1-D, too short
+    for the largest candidate of the range or holding a NaN or infinite
+    sample raises DataError. Let 2^(e-1) <= peak < 2^e bound its largest
+    real or imaginary part. Within the scale window, |e| <= maxexp // 8
+    of x's float type (128 for float64, 16 for float32), x is the
+    caller's samples, with no stream-sized copy, and e is returned as 0.
+    Inside it, as they are or scaled by 2^-e, no square or sum of the
+    stream overflows in its precision, every product of two parts within
+    2^46 of the peak is normal, and the covariance, in float64, takes
+    every product of two complex64 parts as a normal number; its largest
+    entry lies inside [2^-485, 2^485], where LAPACK's eigensolver takes
+    its input without scaling it. So a power of two scales every step
+    exactly, and both scans round alike. Outside the window x is the
+    stream scaled by 2^-e in its own precision, its peak in [0.5, 1).
+    Either way no statistic of x depends on the stream's scale over the
+    whole float range.
     """
-    x = np.ascontiguousarray(r, dtype=complex)
+    x = np.asarray(r)
+    x = np.ascontiguousarray(x, dtype=np.complex64 if x.dtype == np.complex64 else complex)
     if x.ndim != 1:
         raise DataError(f"the stream must be 1-D, got shape {x.shape}")
     if short := cfg.too_short(len(x)):
         raise DataError(short)
-    v = x.view(np.float64)
+    finfo = np.finfo(x.dtype)
+    v = x.view(finfo.dtype)
     # the largest |part| without an |x| temporary; a NaN propagates through both
     peak = max(v.max(), -v.min())
     if not np.isfinite(peak):
         raise DataError("the stream holds NaN or infinite samples")
     e = math.frexp(peak)[1]
-    if abs(e) <= SCALE_WINDOW:
+    if abs(e) <= finfo.maxexp // 8:
         return x, 0
-    return np.ldexp(v, -e).view(complex), e
+    return np.ldexp(v, -e).view(x.dtype), e
 
 
 def shortlist(x: np.ndarray, cfg: EstimatorConfig) -> tuple:
@@ -340,8 +343,11 @@ def shortlist(x: np.ndarray, cfg: EstimatorConfig) -> tuple:
 
 def score_candidates(x: np.ndarray, candidates, missing: int) -> tuple:
     """Step (c): the floor ratios {N': ratio} and descending spectra
-    {N': lambda} of the candidates, in their order. Each is segmented and
-    eigendecomposed once, M' = len(x) // N', and `missing` is d."""
+    {N': lambda} of the candidates, in their order. x is widened to
+    complex128 once, if it is not already, and each candidate is
+    segmented and eigendecomposed once in double precision,
+    M' = len(x) // N'; `missing` is d."""
+    x = np.asarray(x, dtype=complex)
     spectra = {n: hermitian_eigenvalues(covariance(segment(x, n))) for n in candidates}
     ratios = {n: floor_ratio(lam, len(x) // n, missing) for n, lam in spectra.items()}
     return ratios, spectra

@@ -245,7 +245,7 @@ def load_spec_file(path, section=None) -> SweepSpec:
         raise ConfigError(f"sweep spec {path} is not ASCII: {err}") from None
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=str(path))
         names = parser.sections()
         if section is None and len(names) != 1:
             raise ConfigError(f"{path} holds {sorted(names)}; pick one with --section")
@@ -260,7 +260,9 @@ def load_spec_file(path, section=None) -> SweepSpec:
         sweep = {field: _number(keys[key]) for key, field in SWEEP_KEYS.items()}
         snr_db = float(keys["snr_db"])
     except configparser.Error as err:
-        raise ConfigError(f"malformed sweep spec: {err}") from None
+        # configparser's message may run over several lines
+        raise ConfigError(f"malformed sweep spec {path}: "
+                          + " ".join(line.strip() for line in str(err).splitlines())) from None
     except KeyError as err:
         raise ConfigError(f"sweep spec [{section}] is missing key {err}") from None
     except ValueError as err:

@@ -149,8 +149,10 @@ def write_iq_file(path, samples: np.ndarray) -> int:
 
 
 def read_iq_file(path) -> np.ndarray:
-    """Read an IQ file written by write_iq_file back into a complex array."""
+    """Read an IQ file written by write_iq_file back as its complex64
+    samples, without widening them; estimate_n scans them in that
+    precision."""
     raw = np.fromfile(path, dtype="<f4")
     if len(raw) % 2 != 0:
         raise DataError(f"{path}: odd float count {len(raw)}, not an IQ pair stream")
-    return raw.view("<c8").astype(complex)
+    return raw.view("<c8")

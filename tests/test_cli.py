@@ -233,7 +233,8 @@ class TestSweep:
         rc = run(["sweep", "--spec", str(spec), "--section", "quick", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and reason in err
+        assert_one_error_naming(err, spec)
+        assert reason in err
         assert not out.exists()
 
     def test_section_without_spec_exits_one(self, tmp_path, capsys):

@@ -342,11 +342,15 @@ class TestLagStatistic:
     def test_chunked_sum_matches_one_dot_product_per_lag(self, n):
         # one chunk, one chunk plus fewer samples than the largest lag (so
         # the last chunk holds no product for the larger lags), and several
-        # chunks with a ragged tail, up to the whole paper capture
-        x = self.paper_capture(n)
-        got = lag_statistic(x, self.PAPER_LAGS)
-        assert got == pytest.approx(per_lag_statistic(x, self.PAPER_LAGS), rel=1e-12)
-        assert self.PAPER_LAGS[int(np.argmax(got))] == 64
+        # chunks with a ragged tail, up to the whole paper capture; a
+        # complex64 capture is summed in single precision, against the
+        # double-precision sums of the same samples widened
+        for dtype, rel in ((np.complex128, 1e-12), (np.complex64, 2e-4)):
+            x = self.paper_capture(n).astype(dtype)
+            got = lag_statistic(x, self.PAPER_LAGS)
+            assert got == pytest.approx(per_lag_statistic(x.astype(complex), self.PAPER_LAGS),
+                                        rel=rel)
+            assert self.PAPER_LAGS[int(np.argmax(got))] == 64
 
 
 class TestRankOracle:
@@ -506,38 +510,70 @@ class TestEstimateN:
 
     def test_scale_window_edges_change_no_bit(self):
         # in place at 2^k for k = 0, +-1 and at either edge of the scale
-        # window, rescaled one step past either edge: the same decision,
-        # lag scores and floor ratios, and spectra 2^(2k) times those at
-        # k = 0, all equal to the always-rescaling serial scan
-        x, est = self.fig2_capture()
-        e = math.frexp(np.max(np.abs(x.view(np.float64))))[1]
-        w = estimator.SCALE_WINDOW
-        base = estimate_n(x, est)
-        for k in (0, 1, -1, w - e, -w - e, w + 1 - e, -w - 1 - e):
-            xk = np.ldexp(x.view(np.float64), k).view(complex)
-            report = estimate_n(xk, est)
-            n_hat, _, _, spectra = reference_scan(xk, est)
-            assert report.n_hat == base.n_hat == n_hat
-            assert list(report.lag_scores.items()) == list(base.lag_scores.items())
-            assert list(report.floor_ratios.items()) == list(base.floor_ratios.items())
-            assert list(report.eigen_spectra) == list(spectra)
-            for n_prime, lam in report.eigen_spectra.items():
-                want = np.ldexp(base.eigen_spectra[n_prime], 2 * k)
-                assert lam.tobytes() == want.tobytes() == spectra[n_prime].tobytes()
+        # window of the stream's precision, rescaled one step past either
+        # edge: the same decision, lag scores and floor ratios, and spectra
+        # 2^(2k) times those at k = 0. The decision, floor ratios and
+        # spectra equal those of the always-rescaling serial scan in
+        # double precision; for complex128 the lag scores do too
+        capture, est = self.fig2_capture()
+        for dtype, window in ((np.complex128, 128), (np.complex64, 16)):
+            x = capture.astype(dtype)
+            part = x.real.dtype
+            e = math.frexp(np.max(np.abs(x.view(part))))[1]
+            base = estimate_n(x, est)
+            for k in (0, 1, -1, window - e, -window - e, window + 1 - e, -window - 1 - e):
+                xk = np.ldexp(x.view(part), k).view(dtype)
+                report = estimate_n(xk, est)
+                n_hat, lag_scores, ratios, spectra = reference_scan(xk, est)
+                assert report.n_hat == base.n_hat == n_hat
+                assert list(report.lag_scores.items()) == list(base.lag_scores.items())
+                if dtype == np.complex128:
+                    assert list(report.lag_scores.items()) == list(lag_scores.items())
+                assert list(report.floor_ratios.items()) == list(base.floor_ratios.items())
+                assert list(report.floor_ratios.items()) == list(ratios.items())
+                assert list(report.eigen_spectra) == list(spectra)
+                for n_prime, lam in report.eigen_spectra.items():
+                    want = np.ldexp(base.eigen_spectra[n_prime], 2 * k)
+                    assert lam.tobytes() == want.tobytes() == spectra[n_prime].tobytes()
 
-    @pytest.mark.parametrize("wrap", [np.asarray, IqSequence], ids=["array", "IqSequence"])
-    def test_scans_the_callers_samples_in_place(self, monkeypatch, wrap):
-        # inside the scale window nothing stream-sized is allocated: the
-        # lag statistic and the segments read the caller's array, bare or
-        # wrapped as run_trial passes it. A rescaled copy and an |x|
-        # temporary would take 1.13 streams; at this 177500-sample capture
-        # the covariances take 0.13
+    @pytest.mark.parametrize("snr_db", [-5.0, 0.0])
+    def test_complex64_capture_scans_as_its_widened_samples(self, snr_db):
+        # a capture as an .iq file holds it: its lag scores are single-
+        # precision sums, but the shortlist, the floor ratios (bit for
+        # bit) and the decision are those of the scan of its samples
+        # widened to complex128, on desk fig2 trials seeded as run_trial
+        # seeds them, at the two points where the shortlist is closest
+        spec = load_preset("fig2")
+        i = spec.axis_values.index(snr_db)
+        ofdm, chan, est = point_configs(spec, snr_db)
+        for t in range(200):
+            x = simulate(ofdm, chan, (spec.master_seed, i, t)).samples.astype(np.complex64)
+            single, double = estimate_n(x, est), estimate_n(x.astype(complex), est)
+            assert single.n_hat == double.n_hat, t
+            assert list(single.floor_ratios.items()) == list(double.floor_ratios.items()), t
+            assert list(single.lag_scores) == list(double.lag_scores)
+            assert (list(single.lag_scores.values())
+                    == pytest.approx(list(double.lag_scores.values()), rel=2e-4)), t
+
+    @pytest.mark.parametrize("kind", ["array", "IqSequence", "complex64"])
+    def test_scans_the_callers_samples_in_place(self, monkeypatch, kind):
+        # inside the scale window no stream-sized copy is made of the
+        # caller's samples: the lag statistic reads the caller's array,
+        # bare, wrapped as run_trial passes it, or in the complex64 that
+        # read_iq_file returns, and the segments read one array, the
+        # caller's or, for complex64, its one complex128 widening. A
+        # rescaled copy and an |x| temporary would take 1.13 complex128
+        # streams; at this 177500-sample capture the covariances take 0.13
         x, est = self.fig2_capture("paper")
-        r = wrap(x)
-        seen = []
-        inner = estimator.lag_statistic
+        if kind == "complex64":
+            x = x.astype(np.complex64)
+        r = IqSequence(x) if kind == "IqSequence" else x
+        seen, segmented = [], []
+        inner_lag, inner_segment = estimator.lag_statistic, estimator.segment
         monkeypatch.setattr(estimator, "lag_statistic",
-                            lambda v, lags: seen.append(v) or inner(v, lags))
+                            lambda v, lags: seen.append(v) or inner_lag(v, lags))
+        monkeypatch.setattr(estimator, "segment",
+                            lambda v, n_prime: segmented.append(v) or inner_segment(v, n_prime))
         tracemalloc.start()
         try:
             estimate_n(r, est)
@@ -545,7 +581,11 @@ class TestEstimateN:
         finally:
             tracemalloc.stop()
         assert len(seen) == 1 and np.shares_memory(seen[0], x)
-        assert peak < 0.5 * x.nbytes
+        assert len(segmented) == estimator.SHORTLIST
+        assert all(np.shares_memory(v, segmented[0]) for v in segmented)
+        stream = len(x) * np.dtype(complex).itemsize
+        widening = stream if kind == "complex64" else 0
+        assert peak < widening + 0.5 * stream
 
     def test_all_zero_stream_reports_smallest_candidate(self):
         # s = 0 at every lag, not 0/0, so the shortlist is the three
